@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -90,28 +89,18 @@ def lambda_cmd(c: int, terms: int) -> None:
 @click.option("--identity", "name", type=str, default=None, help="one identity")
 @click.option("--all", "run_all", is_flag=True, help="every registered identity")
 @click.option("--n-max", type=int, required=True, help="sweep upper bound")
-@click.option("--jobs", type=int, default=1, help="parallel sweeps")
 @click.pass_context
 def verify_cmd(
-    ctx: click.Context, name: str | None, run_all: bool, n_max: int, jobs: int
+    ctx: click.Context, name: str | None, run_all: bool, n_max: int
 ) -> None:
     """Sweep identities against their brute-force oracles."""
     if run_all == (name is not None):
         raise click.UsageError("pass exactly one of --identity NAME or --all")
-    if jobs < 1:
-        raise click.UsageError("need --jobs >= 1")
     names = sorted(identities.REGISTRY) if run_all else [name]
     try:
-        if jobs == 1:
-            reports = [identities.verify(nm, n_max) for nm in names]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                reports = list(
-                    pool.map(lambda nm: identities.verify(nm, n_max), names)
-                )
+        reports = [identities.verify(nm, n_max) for nm in names]
     except (KeyError, ValueError) as exc:
         raise click.UsageError(str(exc.args[0])) from exc
-    reports.sort(key=lambda r: r.name)
     for report in reports:
         click.echo(report.summary())
     if any(not r.ok for r in reports):
@@ -170,6 +159,8 @@ def oeis_check_cmd(
     """Cross-check bound sequences against b-files."""
     if run_all == (oeis_id is not None):
         raise click.UsageError("pass exactly one of --id AXXXXXX or --all")
+    if count < 1:
+        raise click.UsageError("need --terms >= 1")
     ids = sorted(oeis.BINDINGS) if run_all else [oeis_id]
     store = TriangleStore()
     reports = []

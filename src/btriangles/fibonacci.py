@@ -7,28 +7,28 @@ and the differences as u_n = 2^n*u_0 + sum_{k=1}^{n} 2^{n-k} v_k.
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 from .exactnum import binomial
 
 __all__ = ["fib", "telescope", "fib_diag"]
 
-# Append-only cache seeded with F_0 = 0, F_1 = 1.  Reads are lock-free
-# (indexing a list that only grows); extension is serialized.
-_fib_cache: list[int] = [0, 1]
-_fib_lock = threading.Lock()
-
 
 def fib(n: int) -> int:
-    """Fibonacci number F_n with F_0 = 0 and F_1 = 1."""
+    """Fibonacci number F_n with F_0 = 0 and F_1 = 1.
+
+    Fast doubling over the bits of n, most significant first, using
+    F_2k = F_k (2 F_(k+1) - F_k) and F_(2k+1) = F_k^2 + F_(k+1)^2:
+    O(log n) big multiplications and no state kept between calls.
+    """
     if n < 0:
         raise ValueError(f"fib requires n >= 0, got {n}")
-    if n >= len(_fib_cache):
-        with _fib_lock:
-            while len(_fib_cache) <= n:
-                _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
-    return _fib_cache[n]
+    a, b = 0, 1  # (F_k, F_(k+1)), k = the leading bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
 
 
 def telescope(u0: int, v: Sequence[int], n: int) -> int:

@@ -131,13 +131,7 @@ def _corollary1_closed(n: int) -> tuple[int, ...]:
 
 
 def _corollary1_oracle(n: int) -> tuple[int, ...]:
-    return tuple(
-        sum(
-            _bruteforce_row(2, n - (c - 1) * k)[n - k * c]
-            for k in range(n // c + 1)
-        )
-        for c in range(2, 9)
-    )
+    return tuple(_brute_S(2, c, 1 - c, n) for c in range(2, 9))
 
 
 _T_ORDERS = range(2, 7)
@@ -156,9 +150,7 @@ REGISTRY: dict[str, IdentityRecord] = {
         _record(
             "theorem1",
             lambda n: pow2(n + 1) - fib(n + 2),
-            lambda n: sum(
-                _bruteforce_row(2, n - k)[n - 2 * k] for k in range(n // 2 + 1)
-            ),
+            lambda n: _brute_S(2, 2, -1, n),
             0,
             "order-2 diagonal path sum S_n(2,-1) = 2^(n+1) - F_(n+2)",
         ),
@@ -224,9 +216,7 @@ REGISTRY: dict[str, IdentityRecord] = {
         _record(
             "theoremS3",
             lambda n: fib(n + 3) + (n - 1) * pow2(n),
-            lambda n: sum(
-                _bruteforce_row(3, n - k)[n - 2 * k] for k in range(n // 2 + 1)
-            ),
+            lambda n: _brute_S(3, 2, -1, n),
             0,
             "order-3 diagonal path sum S_n(2,-1) closed form",
         ),
@@ -280,15 +270,8 @@ REGISTRY: dict[str, IdentityRecord] = {
 }
 
 
-def verify(
-    name: str, n_max: int, store: TriangleStore | None = None
-) -> VerifyReport:
-    """Sweep one registered identity over n in [valid_from, n_max].
-
-    The ``store`` argument is accepted so callers can share a memoized
-    triangle across sweeps; the built-in records compute their oracle
-    sides from cached binomial rows and do not consult it.
-    """
+def verify(name: str, n_max: int) -> VerifyReport:
+    """Sweep one registered identity over n in [valid_from, n_max]."""
     try:
         rec = REGISTRY[name]
     except KeyError:

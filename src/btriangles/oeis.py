@@ -19,8 +19,6 @@ import os
 import re
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from importlib import resources
@@ -145,6 +143,11 @@ def fetch_bfile(oeis_id: str, cache_dir: str | os.PathLike | None = None) -> BFi
     cached = directory / f"b{oeis_id[1:]}.txt"
     if cached.exists():
         return parse_bfile(cached.read_text(), str(cached))
+    # Imported here: urllib.request is slow to import (it pulls in
+    # http, ssl and email) and only this live-fetch path needs it.
+    import urllib.error
+    import urllib.request
+
     url = f"https://oeis.org/{oeis_id}/b{oeis_id[1:]}.txt"
     try:
         with urllib.request.urlopen(url, timeout=30) as response:

@@ -93,13 +93,6 @@ def test_verify_all_lists_every_identity_sorted():
     assert all(line.endswith("OK") for line in lines)
 
 
-def test_verify_jobs_output_is_deterministic():
-    sequential = invoke("verify", "--all", "--n-max", "15")
-    parallel = invoke("verify", "--all", "--n-max", "15", "--jobs", "4")
-    assert parallel.exit_code == 0
-    assert parallel.output == sequential.output
-
-
 def test_verify_flag_exclusivity():
     assert invoke("verify", "--n-max", "10").exit_code == 2
     assert (
@@ -181,6 +174,16 @@ def test_oeis_check_flag_exclusivity():
 
 def test_oeis_check_unknown_id():
     assert invoke("oeis-check", "--id", "A999999", "--terms", "10").exit_code == 2
+
+
+def test_oeis_check_rejects_nonpositive_terms():
+    # Exit 1 means a cross-check failed; a bad count is a usage error.
+    for terms in ("0", "-3"):
+        assert invoke("oeis-check", "--all", "--terms", terms).exit_code == 2
+        assert (
+            invoke("oeis-check", "--id", "A000045", "--terms", terms).exit_code
+            == 2
+        )
 
 
 def test_parse_error_exit_code():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
@@ -19,6 +21,30 @@ def test_fib_rejects_negative():
 def test_fib_large_index_exact():
     # F_100, a well-known 21-digit value; floats could not get this right.
     assert fib(100) == 354224848179261915075
+
+
+def _fib_additive(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@given(st.integers(0, 2999))
+def test_fib_matches_additive_recurrence(n):
+    assert fib(n) == _fib_additive(n)
+
+
+def test_fib_large_index_keeps_no_cache():
+    # F_100000 has ~69k bits (~9 kB); caching F_0..F_n would take ~430 MB.
+    tracemalloc.start()
+    try:
+        value = fib(100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert value == _fib_additive(100_000)
 
 
 def test_telescope_zero_differences_gives_doubling():

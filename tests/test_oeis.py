@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import btriangles
 from btriangles.oeis import (
     BINDINGS,
     BFile,
@@ -153,6 +156,22 @@ def test_fetch_without_cache_or_network_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen", refuse)
     with pytest.raises(BFileFetchError, match="no cached copy"):
         fetch_bfile("A000045", cache_dir=tmp_path / "empty")
+
+
+def test_import_does_not_load_urllib_request():
+    # Only fetch_bfile needs urllib.request; importing it eagerly would
+    # add its cost to every command's start-up.
+    src = os.path.dirname(os.path.dirname(btriangles.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, btriangles; print('urllib.request' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cache_dir_env_variable(tmp_path, monkeypatch):
