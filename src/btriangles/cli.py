@@ -169,7 +169,7 @@ def oeis_check_cmd(
             reports.append(
                 oeis.crosscheck(seq, count, store=store, online=online)
             )
-        except KeyError as exc:
+        except (KeyError, oeis.BFileRangeError) as exc:
             raise click.UsageError(str(exc.args[0])) from exc
         except (ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc

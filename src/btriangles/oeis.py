@@ -52,6 +52,10 @@ class BFileFetchError(OSError):
     """Raised when a b-file can be neither fetched nor found in cache."""
 
 
+class BFileRangeError(ValueError):
+    """Raised when a cross-check asks for terms its b-file does not cover."""
+
+
 @dataclass(frozen=True)
 class BFile:
     """Parsed b-file: (index, value) pairs with consecutive indices."""
@@ -342,14 +346,16 @@ def crosscheck(
 
     Uses the bundled snapshot by default; ``online=True`` fetches the
     live b-file (through the cache) instead.  The report's failures
-    list pairs computed values with b-file values by b-file index.
+    list pairs computed values with b-file values by b-file index.  A
+    ``count`` the b-file does not cover raises :class:`BFileRangeError`,
+    a ValueError, before any term is computed.
     """
     b = _resolve(binding)
     started = time.perf_counter()
     bfile = fetch_bfile(b.oeis_id, cache_dir) if online else load_snapshot(b.oeis_id)
     skip = b.offset - bfile.first_index
     if skip < 0 or skip + count > len(bfile.entries):
-        raise ValueError(
+        raise BFileRangeError(
             f"{b.oeis_id}: b-file covers indices {bfile.first_index}.."
             f"{bfile.entries[-1][0]}, cannot check {count} terms from {b.offset}"
         )

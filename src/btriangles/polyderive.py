@@ -11,10 +11,17 @@ where Q and R are rational polynomials of degree (m-2)^+ and (m-3)^+.
     Q' = (A + F_{2m+2} - 1 + Q + R) / 2,    R' = (Q + R) / 2,
 
 with A the discrete sum of Q + R and base case Q = R = 0 at order 1.
+
+The induction holds Q and R in the binomial (Newton) basis C(p, j),
+where the discrete sum is a coefficient shift by the hockey-stick
+identity sum_{k<x} C(k, j) = C(x, j+1) (Graham, Knuth and Patashnik,
+*Concrete Mathematics*, section 2.6).  :class:`RatPolynomial` keeps
+monomial coefficients.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +37,15 @@ __all__ = [
     "derive_QR",
     "tm_closed",
 ]
+
+
+def _plus(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    if len(a) < len(b):
+        a, b = b, a
+    merged = list(a)
+    for k, c in enumerate(b):
+        merged[k] += c
+    return merged
 
 
 @dataclass(frozen=True)
@@ -59,13 +75,7 @@ class RatPolynomial:
         return len(self.coeffs) - 1 if self.coeffs else 0
 
     def __add__(self, other: "RatPolynomial") -> "RatPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for k, c in enumerate(b):
-            merged[k] += c
-        return RatPolynomial(tuple(merged))
+        return RatPolynomial(tuple(_plus(self.coeffs, other.coeffs)))
 
     def scale(self, factor: Rational | int) -> "RatPolynomial":
         return RatPolynomial(tuple(c * factor for c in self.coeffs))
@@ -90,9 +100,6 @@ class RatPolynomial:
         return " ".join(parts)
 
 
-_ZERO = RatPolynomial(())
-
-
 @dataclass(frozen=True)
 class QRPair:
     """The polynomial pair attached to one triangle order."""
@@ -110,57 +117,60 @@ def poly_eval(P: RatPolynomial, x: int) -> Fraction:
     return acc
 
 
-def _interpolate(points: list[tuple[int, Fraction]]) -> RatPolynomial:
-    # Lagrange form accumulated coefficient-wise; exact over Fraction.
-    result = _ZERO
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            # basis *= (X - xj)
-            shifted = [Fraction(0)] + basis
-            basis = [s - xj * b for s, b in zip(shifted, basis + [Fraction(0)])]
-            denom *= xi - xj
-        result = result + RatPolynomial(tuple(basis)).scale(yi / denom)
-    return result
+def _to_newton(P: RatPolynomial) -> list[Fraction]:
+    # b[j] = (Delta^j P)(0), so that P(x) = sum_j b[j] * C(x, j).
+    b = [poly_eval(P, x) for x in range(len(P.coeffs))]
+    for j in range(1, len(b)):
+        for i in range(len(b) - 1, j - 1, -1):
+            b[i] -= b[i - 1]
+    return b
+
+
+def _from_newton(b: list[Fraction]) -> RatPolynomial:
+    # Horner's rule over falling factorials, C(x, j+1) = C(x, j) (x-j)/(j+1):
+    # P = b[0] + x/1 (b[1] + (x-1)/2 (b[2] + ...)).
+    acc: list[Fraction] = []
+    for j in reversed(range(len(b))):
+        acc = [Fraction(0), *acc]
+        for k in range(len(acc) - 1):
+            acc[k] -= j * acc[k + 1]
+        acc = [c / (j + 1) for c in acc]
+        acc[0] += b[j]
+    return RatPolynomial(tuple(acc))
+
+
+def _hockey_stick(a: list[Fraction]) -> list[Fraction]:
+    # Summing from k = 0 gives sum_j a[j] C(x, j+1); k = 0 adds P(0) = a[0].
+    return [-a[0], *a] if a else []
 
 
 def discrete_sum(P: RatPolynomial) -> RatPolynomial:
     """The polynomial S with S(x) = sum_{k=1}^{x-1} P(k) for integers x >= 1.
 
-    S has degree deg(P) + 1 and is pinned down by interpolation: the
-    defining sum is evaluated at enough consecutive integers to
-    determine a polynomial of that degree, then interpolated exactly.
+    With P(x) = sum_j a_j C(x, j), a_j the j-th forward difference of P
+    at 0, the hockey-stick identity gives S(x) = sum_j a_j C(x, j+1) - a_0:
+    a coefficient shift.  S has degree deg(P) + 1 unless P is zero.
     """
-    if P.is_zero:
-        return _ZERO
-    npoints = P.degree + 3
-    points: list[tuple[int, Fraction]] = []
-    acc = Fraction(0)
-    for x in range(1, npoints + 1):
-        points.append((x, acc))
-        acc += poly_eval(P, x)
-    return _interpolate(points)
+    return _from_newton(_hockey_stick(_to_newton(P)))
 
 
 @lru_cache(maxsize=None)
 def derive_QR(m: int) -> QRPair:
-    """Polynomial pair (Q, R) for the order-m T-path closed form."""
+    """Polynomial pair (Q, R) for the order-m T-path closed form.
+
+    The induction shifts and adds binomial-basis coefficients, O(m)
+    rational additions per order; only order m becomes monomial.
+    """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    if m == 1:
-        return QRPair(1, _ZERO, _ZERO)
-    prev = derive_QR(m - 1)
-    qr = prev.Q + prev.R
-    a = discrete_sum(qr)
-    const = RatPolynomial((Fraction(fib(2 * m) - 1),))
-    q = (a + const + qr).scale(Fraction(1, 2))
-    r = qr.scale(Fraction(1, 2))
-    return QRPair(m, q, r)
+    q: list[Fraction] = []
+    r: list[Fraction] = []
+    for order in range(2, m + 1):
+        qr = _plus(q, r)
+        step = _plus(_plus(_hockey_stick(qr), qr), [Fraction(fib(2 * order) - 1)])
+        q = [c / 2 for c in step]
+        r = [c / 2 for c in qr]
+    return QRPair(m, _from_newton(q), _from_newton(r))
 
 
 def tm_closed(m: int, n: int) -> int:

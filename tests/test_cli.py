@@ -194,3 +194,28 @@ def test_run_helper_exit_codes():
     assert run(["derive-poly", "--order", "2"]) == 0
     assert run(["no-such-command"]) == 2
     assert run(["verify", "--n-max", "5"]) == 2
+
+
+def test_oeis_check_oversize_request_is_usage_error():
+    # Exit 1 is reserved for a mismatch; asking for more terms than the
+    # b-file holds is a usage error, as it is for `sequence`.
+    result = invoke("oeis-check", "--id", "A000045", "--terms", "100000")
+    assert result.exit_code == 2
+    assert "b-file covers indices 0..99" in result.output
+
+
+def test_oeis_check_bad_online_bfile_exits_one(tmp_path, monkeypatch):
+    import urllib.request
+
+    def refuse(*args, **kwargs):
+        raise OSError("network unreachable")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    monkeypatch.setenv("BERNOULLI_CACHE_DIR", str(tmp_path))
+    unreachable = invoke("oeis-check", "--id", "A000045", "--terms", "5", "--online")
+    assert unreachable.exit_code == 1
+    assert "no cached copy" in unreachable.output
+    (tmp_path / "b000045.txt").write_text("0 zero\n")
+    malformed = invoke("oeis-check", "--id", "A000045", "--terms", "5", "--online")
+    assert malformed.exit_code == 1
+    assert "non-integer field" in malformed.output

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from btriangles.fibonacci import fib
 from btriangles.paths import sum_T
 from btriangles.polyderive import (
     RatPolynomial,
+    _from_newton,
+    _to_newton,
     derive_QR,
     discrete_sum,
     poly_eval,
@@ -125,3 +129,86 @@ def test_tm_closed_matches_path_sum():
 def test_tm_closed_rejects_negative_index():
     with pytest.raises(ValueError):
         tm_closed(2, -1)
+
+
+# Reference route for derive_QR: the same induction with each discrete
+# sum found by sampling the defining sum and Lagrange interpolation.
+
+
+def _lagrange(points):
+    result = RatPolynomial(())
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        basis = [F(1)]
+        denom = F(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            shifted = [F(0)] + basis
+            basis = [s - xj * b for s, b in zip(shifted, basis + [F(0)])]
+            denom *= xi - xj
+        result = result + RatPolynomial(tuple(basis)).scale(yi / denom)
+    return result
+
+
+def _sampled_discrete_sum(p):
+    if p.is_zero:
+        return p
+    points = []
+    acc = F(0)
+    for x in range(1, p.degree + 4):
+        points.append((x, acc))
+        acc += poly_eval(p, x)
+    return _lagrange(points)
+
+
+def _reference_pairs(m_max):
+    q = r = RatPolynomial(())
+    pairs = [(q, r)]
+    for m in range(2, m_max + 1):
+        qr = q + r
+        const = RatPolynomial((F(fib(2 * m) - 1),))
+        q = (_sampled_discrete_sum(qr) + const + qr).scale(F(1, 2))
+        r = qr.scale(F(1, 2))
+        pairs.append((q, r))
+    return pairs
+
+
+def test_derive_matches_lagrange_reference_up_to_20():
+    for m, (q, r) in enumerate(_reference_pairs(20), start=1):
+        pair = derive_QR(m)
+        assert pair.Q.coeffs == q.coeffs
+        assert pair.R.coeffs == r.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(max_denominator=50, min_value=-100, max_value=100),
+        max_size=13,
+    )
+)
+def test_newton_round_trip_is_identity(coeffs):
+    p = RatPolynomial(tuple(coeffs))
+    b = _to_newton(p)
+    assert len(b) == len(p.coeffs)
+    assert _from_newton(b) == p
+    for x in range(len(b) + 2):
+        assert poly_eval(p, x) == sum(c * comb(x, j) for j, c in enumerate(b))
+
+
+def _t_path_oracle(m, n):
+    # T_n = sum_k cell(n - k, k), k <= n/2, with the order-m cell
+    # cell(r, k) = sum_j C(r, j) C(k - j + m - 2, m - 2), for m >= 2.
+    return sum(
+        comb(n - k, j) * comb(k - j + m - 2, m - 2)
+        for k in range(n // 2 + 1)
+        for j in range(k + 1)
+    )
+
+
+@pytest.mark.parametrize("m", [30, 50, 80])
+def test_tm_closed_high_order_matches_binomial_oracle(m):
+    for n in (0, 1, 7, 64, 151, 200):
+        assert tm_closed(m, n) == _t_path_oracle(m, n)
