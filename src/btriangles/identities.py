@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import binomial, pow2
-from .fibonacci import fib
+from .fibonacci import fib, telescope
 from .gfib import lambda_explicit
 from .paths import sum_Sbar
 from .polyderive import tm_closed
-from .triangle import TriangleStore, _bruteforce_row
+from .triangle import TriangleStore, cell_bruteforce
 
 __all__ = [
     "IdentityRecord",
@@ -71,24 +71,22 @@ class VerifyReport:
 
 
 # Brute path sums.  Everything below reaches the triangle only through
-# _bruteforce_row (binomial row + prefix passes), never through the
+# cell_bruteforce (binomials and prefix sums), never through the
 # memoized Pascal-recurrence store the closed-form side of the package
 # is built on.
 
 
 def _brute_S(m: int, c: int, l: int, n: int) -> int:
-    return sum(
-        _bruteforce_row(m, n + k * l)[n - k * c] for k in range(n // c + 1)
-    )
+    return sum(cell_bruteforce(m, n + k * l, n - k * c) for k in range(n // c + 1))
 
 
 def _brute_Sbar(m: int, c: int, l: int, n: int) -> int:
-    return 2 * _bruteforce_row(m, n)[n] - _brute_S(m, c, l, n)
+    return 2 * cell_bruteforce(m, n, n) - _brute_S(m, c, l, n)
 
 
 def _brute_T(m: int, n: int) -> int:
     # Steps (-1, -1) from (n, 0): cells (n - k, k) while k <= n - k.
-    return sum(_bruteforce_row(m, n - k)[k] for k in range(n // 2 + 1))
+    return sum(cell_bruteforce(m, n - k, k) for k in range(n // 2 + 1))
 
 
 def _as_int(value: Fraction, context: str) -> int:
@@ -125,7 +123,7 @@ def _t5_closed(n: int) -> int:
 
 def _corollary1_closed(n: int) -> tuple[int, ...]:
     return tuple(
-        pow2(n) + sum(pow2(n - k) * lambda_explicit(c, k) for k in range(1, n + 1))
+        telescope(1, [lambda_explicit(c, k) for k in range(1, n + 1)], n)
         for c in range(2, 9)
     )
 
@@ -138,89 +136,83 @@ _T_ORDERS = range(2, 7)
 _TM_ORDERS = range(1, 11)
 
 
-def _record(
-    name: str, closed: Side, oracle: Side, valid_from: int, description: str
-) -> IdentityRecord:
-    return IdentityRecord(name, closed, oracle, valid_from, description)
-
-
 REGISTRY: dict[str, IdentityRecord] = {
     rec.name: rec
     for rec in [
-        _record(
+        IdentityRecord(
             "theorem1",
             lambda n: pow2(n + 1) - fib(n + 2),
             lambda n: _brute_S(2, 2, -1, n),
             0,
             "order-2 diagonal path sum S_n(2,-1) = 2^(n+1) - F_(n+2)",
         ),
-        _record(
+        IdentityRecord(
             "S2diff",
             lambda n: fib(n - 1),
             lambda n: _brute_S(2, 2, -1, n) - 2 * _brute_S(2, 2, -1, n - 1),
             1,
             "difference of consecutive order-2 path sums is Fibonacci",
         ),
-        _record(
+        IdentityRecord(
             "relB2diff",
             lambda n: tuple(binomial(n - 1, q) for q in range(1, n + 1)),
             lambda n: tuple(
-                _bruteforce_row(2, n)[q] - 2 * _bruteforce_row(2, n - 1)[q - 1]
+                cell_bruteforce(2, n, q) - 2 * cell_bruteforce(2, n - 1, q - 1)
                 for q in range(1, n + 1)
             ),
             1,
             "cell minus twice its upper-left neighbour is binomial",
         ),
-        _record(
+        IdentityRecord(
             "corollary1",
             _corollary1_closed,
             _corollary1_oracle,
             0,
             "path-sum reconstruction from the explicit lambda expansion, c in [2,8]",
         ),
-        _record(
+        IdentityRecord(
             "T2even",
             lambda p: _brute_T(2, 2 * p - 1) + fib(2 * p + 1),
             lambda p: _brute_T(2, 2 * p),
             1,
             "even-index order-2 T recurrence with Fibonacci increment",
         ),
-        _record(
+        IdentityRecord(
             "T2odd",
             lambda p: _brute_T(2, 2 * p) + _brute_T(2, 2 * p - 1),
             lambda p: _brute_T(2, 2 * p + 1),
             1,
             "odd-index order-2 T recurrence",
         ),
-        _record(
+        IdentityRecord(
             "resT2",
             lambda n: fib(n + 3) - pow2((n + 1) // 2),
             lambda n: _brute_T(2, n),
             0,
             "order-2 T path sum closed form",
         ),
-        _record(
+        IdentityRecord(
             "rel8",
             lambda n: fib(n),
             lambda n: _brute_Sbar(3, 2, -1, n) - 2 * _brute_Sbar(3, 2, -1, n - 1),
             1,
             "difference of consecutive order-3 complementary sums is Fibonacci",
         ),
-        _record(
+        IdentityRecord(
             "S3barClosed",
             lambda n: 3 * pow2(n) - fib(n + 3),
             lambda n: _brute_Sbar(3, 2, -1, n),
             0,
             "order-3 complementary path sum closed form",
         ),
-        _record(
+        IdentityRecord(
             "theoremS3",
             lambda n: fib(n + 3) + (n - 1) * pow2(n),
             lambda n: _brute_S(3, 2, -1, n),
             0,
             "order-3 diagonal path sum S_n(2,-1) closed form",
         ),
-        _record(
+        IdentityRecord(
             "TmOdd",
             lambda p: tuple(
                 _brute_T(m, 2 * p) + _brute_T(m, 2 * p - 1) for m in _T_ORDERS
@@ -229,7 +221,7 @@ REGISTRY: dict[str, IdentityRecord] = {
             1,
             "odd-index T recurrence, orders 2..6",
         ),
-        _record(
+        IdentityRecord(
             "TmEven",
             lambda p: tuple(
                 _brute_T(m, 2 * p - 1) + _brute_T(m - 1, 2 * p) for m in _T_ORDERS
@@ -238,28 +230,28 @@ REGISTRY: dict[str, IdentityRecord] = {
             1,
             "even-index T recurrence dropping one order, orders 2..6",
         ),
-        _record(
+        IdentityRecord(
             "resT3",
             _rest3_closed,
             lambda n: _brute_T(3, n),
             0,
             "order-3 T path sum closed form with rational halves",
         ),
-        _record(
+        IdentityRecord(
             "T4closed",
             _t4_closed,
             lambda n: _brute_T(4, n),
             0,
             "order-4 T path sum closed form, fixed printed coefficients",
         ),
-        _record(
+        IdentityRecord(
             "T5closed",
             _t5_closed,
             lambda n: _brute_T(5, n),
             0,
             "order-5 T path sum closed form, fixed printed coefficients",
         ),
-        _record(
+        IdentityRecord(
             "theoremTm",
             lambda n: tuple(tm_closed(m, n) for m in _TM_ORDERS),
             lambda n: tuple(_brute_T(m, n) for m in _TM_ORDERS),
@@ -297,17 +289,15 @@ def verify(name: str, n_max: int) -> VerifyReport:
 # membership in a known integer sequence, handled by the oeis module,
 # so they live outside REGISTRY.
 
-_shared_store = TriangleStore()
-
 
 def sbar31(n: int, store: TriangleStore | None = None) -> int:
     """Complementary order-2 path sum along (3, -1)."""
-    return sum_Sbar(2, 3, -1, n, store if store is not None else _shared_store)
+    return sum_Sbar(2, 3, -1, n, store)
 
 
 def sbar41(n: int, store: TriangleStore | None = None) -> int:
     """Complementary order-2 path sum along (4, -1)."""
-    return sum_Sbar(2, 4, -1, n, store if store is not None else _shared_store)
+    return sum_Sbar(2, 4, -1, n, store)
 
 
 def sbar31diff3(n: int, store: TriangleStore | None = None) -> int:
@@ -315,5 +305,5 @@ def sbar31diff3(n: int, store: TriangleStore | None = None) -> int:
     if n < 1:
         raise ValueError(f"difference sequence starts at n = 1, got {n}")
     if store is None:
-        store = _shared_store
+        store = TriangleStore()
     return sum_Sbar(3, 3, -1, n, store) - 2 * sum_Sbar(3, 3, -1, n - 1, store)

@@ -1,16 +1,17 @@
 """Iterated partial-sum triangles with memoized rows.
 
-Order 1 is Pascal's triangle.  Each higher order takes row-wise partial
-sums of the order below: entry (n, k) of order m+1 is the sum of entries
-(n, 0..k) of order m.  Interior cells of every order satisfy the Pascal
-rule cell(n, k) = cell(n-1, k) + cell(n-1, k-1), which is how rows are
-actually built; the nested-sum definition survives only as the
+Order 1 is Pascal's triangle.  Order m is the prefix sum of order m - 1:
+entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1.
+Interior cells of every order satisfy the Pascal rule
+cell(n, k) = cell(n-1, k) + cell(n-1, k-1), which is how rows are
+actually built; the prefix-sum definition survives only as the
 independent brute-force oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 __all__ = ["TriangleStore", "cell_bruteforce"]
@@ -75,15 +76,12 @@ class TriangleStore:
 
 @lru_cache(maxsize=None)
 def _bruteforce_row(m: int, n: int) -> tuple[int, ...]:
-    # Binomial row followed by m-1 in-place prefix-sum passes; no Pascal
-    # recurrence anywhere, so this is a genuinely independent route.
-    row = [comb(n, q) for q in range(n + 1)]
-    for _ in range(m - 1):
-        acc = 0
-        for i, value in enumerate(row):
-            acc += value
-            row[i] = acc
-    return tuple(row)
+    # Order 1 is the binomial row; order m is the prefix sum of order
+    # m - 1.  No Pascal recurrence anywhere, so this is a genuinely
+    # independent route.
+    if m == 1:
+        return tuple(comb(n, q) for q in range(n + 1))
+    return tuple(accumulate(_bruteforce_row(m - 1, n)))
 
 
 def cell_bruteforce(m: int, n: int, k: int) -> int:

@@ -1,4 +1,5 @@
 import threading
+from math import comb
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +106,28 @@ def test_bruteforce_rejects_out_of_range():
         cell_bruteforce(0, 5, 2)
     with pytest.raises(ValueError):
         cell_bruteforce(2, -1, 0)
+
+
+def _passes_row(m, n):
+    # The oracle's former route: the binomial row, then m - 1 in-place
+    # prefix-sum passes.
+    row = [comb(n, q) for q in range(n + 1)]
+    for _ in range(m - 1):
+        acc = 0
+        for i, value in enumerate(row):
+            acc += value
+            row[i] = acc
+    return row
+
+
+@given(st.integers(1, 10), st.integers(0, 80), st.data())
+def test_bruteforce_matches_passes_and_convolution(m, n, data):
+    k = data.draw(st.integers(0, n))
+    cell = cell_bruteforce(m, n, k)
+    assert cell == _passes_row(m, n)[k]
+    if m >= 2:
+        convolution = sum(comb(n, j) * comb(k - j + m - 2, m - 2) for j in range(k + 1))
+        assert cell == convolution
 
 
 def test_cell_matches_bruteforce(store):
