@@ -17,6 +17,7 @@ Inverting the difference by telescoping rebuilds the path sum itself.
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 from .exactnum import binomial
 from .fibonacci import telescope
@@ -61,6 +62,7 @@ def lambda_rec(c: int, n: int) -> int:
     return values[n]
 
 
+@lru_cache(maxsize=None)
 def lambda_explicit(c: int, n: int) -> int:
     """lambda_n(c) as the binomial sum over i of C(n - c + i*(1 - c), i).
 

@@ -38,6 +38,15 @@ def test_pathsum_value():
     assert result.output == "73\n"
 
 
+def test_pathsum_high_order_does_not_recurse_through_lower_orders():
+    result = invoke(
+        "pathsum", "--order", "1200", "--family", "T", "--c", "-1", "--l", "-1",
+        "--n", "3",
+    )
+    assert result.exit_code == 0
+    assert result.output == "1202\n"
+
+
 def test_pathsum_trace():
     result = invoke(
         "pathsum", "--order", "2", "--family", "S", "--c", "2", "--l", "-1",

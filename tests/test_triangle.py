@@ -108,6 +108,11 @@ def test_bruteforce_rejects_out_of_range():
         cell_bruteforce(2, -1, 0)
 
 
+def _convolution(m, n, k):
+    # cell(m, n, k) = sum_j C(n, j) C(k - j + m - 2, m - 2) for m >= 2.
+    return sum(comb(n, j) * comb(k - j + m - 2, m - 2) for j in range(k + 1))
+
+
 def _passes_row(m, n):
     # The oracle's former route: the binomial row, then m - 1 in-place
     # prefix-sum passes.
@@ -126,8 +131,55 @@ def test_bruteforce_matches_passes_and_convolution(m, n, data):
     cell = cell_bruteforce(m, n, k)
     assert cell == _passes_row(m, n)[k]
     if m >= 2:
-        convolution = sum(comb(n, j) * comb(k - j + m - 2, m - 2) for j in range(k + 1))
-        assert cell == convolution
+        assert cell == _convolution(m, n, k)
+
+
+def test_high_order_row_builds_no_lower_order():
+    store = TriangleStore()
+    assert store.row(1200, 3) == (1, 1202, 723000, 290161598)
+    assert store.row(1200, 3) == tuple(_convolution(1200, 3, k) for k in range(4))
+    assert {m for m, _ in store._rows} == {1200}
+
+
+class _CrossOrderStore:
+    # The store's former builder: the last entry of row r is the sum of
+    # row r one order down, so order m builds every order below it.
+    def __init__(self):
+        self._rows = {}
+
+    def row(self, m, n):
+        got = self._rows.get((m, n))
+        if got is None:
+            got = self._build_row(m, n)
+        return got
+
+    def _build_row(self, m, n):
+        start = n
+        while start > 0 and (m, start - 1) not in self._rows:
+            start -= 1
+        for r in range(start, n + 1):
+            if (m, r) in self._rows:
+                continue
+            if r == 0:
+                row = (1,)
+            else:
+                prev = self._rows[m, r - 1]
+                mid = [1]
+                mid.extend(prev[k] + prev[k - 1] for k in range(1, r))
+                mid.append(prev[r - 1] if m == 1 else sum(self.row(m - 1, r)))
+                row = tuple(mid)
+            self._rows[m, r] = row
+        return self._rows[m, n]
+
+
+_CROSS_ORDER = _CrossOrderStore()
+
+
+@given(st.integers(2, 40), st.integers(0, 120))
+def test_diagonal_matches_cross_order_sum_and_convolution(m, n):
+    diagonal = TriangleStore().cell(m, n, n)
+    assert diagonal == sum(_CROSS_ORDER.row(m - 1, n))
+    assert diagonal == _convolution(m, n, n)
 
 
 def test_cell_matches_bruteforce(store):
