@@ -21,8 +21,7 @@ from functools import lru_cache
 
 from .exactnum import binomial
 from .fibonacci import telescope
-from .paths import sum_S
-from .triangle import TriangleStore
+from .paths import path_sums
 
 __all__ = ["lambda_diff", "lambda_rec", "lambda_explicit", "s2_reconstruct"]
 
@@ -34,14 +33,13 @@ def _check_args(c: int, n: int) -> None:
         raise ValueError(f"index must be >= 0, got {n}")
 
 
-def lambda_diff(c: int, n: int, store: TriangleStore | None = None) -> int:
+def lambda_diff(c: int, n: int) -> int:
     """lambda_n(c) from its definition as a difference of path sums."""
     _check_args(c, n)
-    if store is None:
-        store = TriangleStore()
     if n == 0:
         return 0
-    return sum_S(2, c, 1 - c, n, store) - 2 * sum_S(2, c, 1 - c, n - 1, store)
+    sums = path_sums(2, c, 1 - c, "S", n)
+    return sums[n] - 2 * sums[n - 1]
 
 
 # Per-c value lists, extended under a single lock; reads are lock-free.

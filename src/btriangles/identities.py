@@ -21,9 +21,9 @@ from fractions import Fraction
 from .exactnum import binomial, pow2
 from .fibonacci import fib, telescope
 from .gfib import lambda_explicit
-from .paths import sum_Sbar
+from .paths import path_sums, sum_Sbar
 from .polyderive import tm_closed
-from .triangle import TriangleStore, cell_bruteforce
+from .triangle import cell_bruteforce
 
 __all__ = [
     "IdentityRecord",
@@ -72,8 +72,7 @@ class VerifyReport:
 
 # Brute path sums.  Everything below reaches the triangle only through
 # cell_bruteforce (binomials and prefix sums), never through the
-# memoized Pascal-recurrence store the closed-form side of the package
-# is built on.
+# Pascal-recurrence rows the closed-form side of the package is built on.
 
 
 def _brute_S(m: int, c: int, l: int, n: int) -> int:
@@ -290,20 +289,19 @@ def verify(name: str, n_max: int) -> VerifyReport:
 # so they live outside REGISTRY.
 
 
-def sbar31(n: int, store: TriangleStore | None = None) -> int:
+def sbar31(n: int) -> int:
     """Complementary order-2 path sum along (3, -1)."""
-    return sum_Sbar(2, 3, -1, n, store)
+    return sum_Sbar(2, 3, -1, n)
 
 
-def sbar41(n: int, store: TriangleStore | None = None) -> int:
+def sbar41(n: int) -> int:
     """Complementary order-2 path sum along (4, -1)."""
-    return sum_Sbar(2, 4, -1, n, store)
+    return sum_Sbar(2, 4, -1, n)
 
 
-def sbar31diff3(n: int, store: TriangleStore | None = None) -> int:
+def sbar31diff3(n: int) -> int:
     """Difference sequence of the order-3 complementary sums along (3, -1)."""
     if n < 1:
         raise ValueError(f"difference sequence starts at n = 1, got {n}")
-    if store is None:
-        store = TriangleStore()
-    return sum_Sbar(3, 3, -1, n, store) - 2 * sum_Sbar(3, 3, -1, n - 1, store)
+    sums = path_sums(3, 3, -1, "Sbar", n)
+    return sums[n] - 2 * sums[n - 1]

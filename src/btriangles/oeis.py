@@ -15,20 +15,21 @@ run offline; live fetching is available but never required.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import tempfile
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
-from math import isqrt
 from pathlib import Path
 
 from .fibonacci import fib
 from .gfib import lambda_rec
-from .identities import VerifyReport, sbar31, sbar31diff3, sbar41
-from .paths import sum_S
+from .identities import VerifyReport
+from .paths import path_sums
 from .triangle import TriangleStore
 
 __all__ = [
@@ -79,13 +80,13 @@ class BFile:
 class SequenceBinding:
     """One construction bound to an OEIS id at a frozen offset.
 
-    ``generator(j, store)`` returns the j-th term of the construction
-    (j = 0 is its first defined term); that term carries b-file index
-    ``offset + j``.
+    ``generator(count)`` returns the first ``count`` terms of the
+    construction as a list; term j (j = 0 is its first defined term)
+    carries b-file index ``offset + j``.
     """
 
     oeis_id: str
-    generator: Callable[[int, TriangleStore], int]
+    generator: Callable[[int], list[int]]
     offset: int
     note: str
 
@@ -173,99 +174,105 @@ def fetch_bfile(oeis_id: str, cache_dir: str | os.PathLike | None = None) -> BFi
     return parse_bfile(payload.decode("ascii"), str(cached))
 
 
-# Generators.  Triangles are read row by row, left to right.
+# Generators return the first ``count`` terms of their construction.
+# Triangles are read row by row, left to right.
 
 
-def _flat_cell(m: int, j: int, store: TriangleStore) -> int:
-    row = (isqrt(8 * j + 1) - 1) // 2
-    return store.cell(m, row, j - row * (row + 1) // 2)
+def _fib_terms(count: int) -> list[int]:
+    return [fib(j) for j in range(count)]
 
 
-def _gen_fib(j: int, store: TriangleStore) -> int:
-    return fib(j)
+def _lambda_terms(c: int, count: int) -> list[int]:
+    return [lambda_rec(c, j + c) for j in range(count)]
 
 
-def _gen_lambda(c: int) -> Callable[[int, TriangleStore], int]:
-    def gen(j: int, store: TriangleStore) -> int:
-        return lambda_rec(c, j + c)
+def _row_terms(m: int, count: int) -> list[int]:
+    store = TriangleStore()
+    rows = (store.row(m, n) for n in itertools.count())
+    return list(itertools.islice(itertools.chain.from_iterable(rows), count))
 
-    return gen
+
+def _path_terms(m: int, c: int, l: int, family: str, count: int) -> list[int]:
+    return path_sums(m, c, l, family, count - 1)
+
+
+def _sbar31diff3_terms(count: int) -> list[int]:
+    sums = path_sums(3, 3, -1, "Sbar", count)
+    return [b - 2 * a for a, b in zip(sums, sums[1:])]
 
 
 _BINDING_LIST = [
     SequenceBinding(
         "A000045",
-        _gen_fib,
+        _fib_terms,
         0,
         "Fibonacci numbers F_0, F_1, ...; aligned seed-for-seed",
     ),
     SequenceBinding(
         "A000930",
-        _gen_lambda(3),
+        partial(_lambda_terms, 3),
         0,
         "lambda(3) from its first nonzero term n=3; offset by window match",
     ),
     SequenceBinding(
         "A003269",
-        _gen_lambda(4),
+        partial(_lambda_terms, 4),
         1,
         "lambda(4) from its first nonzero term n=4; offset by window match",
     ),
     SequenceBinding(
         "A003520",
-        _gen_lambda(5),
+        partial(_lambda_terms, 5),
         0,
         "lambda(5) from its first nonzero term n=5; offset by window match",
     ),
     SequenceBinding(
         "A005251",
-        lambda j, store: sbar31(j, store),
+        partial(_path_terms, 2, 3, -1, "Sbar"),
         3,
         "order-2 complementary path sum along (3,-1); offset by window match",
     ),
     SequenceBinding(
         "A005314",
-        lambda j, store: sbar31diff3(j + 1, store),
+        _sbar31diff3_terms,
         1,
         "order-3 (3,-1) complementary sum differences from n=1; "
         "offset by window match",
     ),
     SequenceBinding(
         "A008949",
-        lambda j, store: _flat_cell(2, j, store),
+        partial(_row_terms, 2),
         0,
         "order-2 triangle read by rows; offset by window match",
     ),
     SequenceBinding(
         "A027934",
-        lambda j, store: sum_S(2, 2, -1, j, store),
+        partial(_path_terms, 2, 2, -1, "S"),
         1,
         "order-2 path sum along (2,-1) from n=0; offset by window match "
         "(the bound sequence starts one index later than the b-file)",
     ),
     SequenceBinding(
         "A099568",
-        lambda j, store: sum_S(2, 3, -2, j, store),
+        partial(_path_terms, 2, 3, -2, "S"),
         0,
         "order-2 path sum along (3,-2) from n=0; offset by window match",
     ),
     SequenceBinding(
         "A138653",
-        lambda j, store: sbar41(j, store),
+        partial(_path_terms, 2, 4, -1, "Sbar"),
         0,
         "order-2 complementary path sum along (4,-1); offset by window match",
     ),
     SequenceBinding(
         "A193605",
-        lambda j, store: _flat_cell(3, j, store),
+        partial(_row_terms, 3),
         0,
         "order-3 triangle read by rows; offset by window match",
     ),
 ]
 
 BINDINGS: dict[str, SequenceBinding] = {b.oeis_id: b for b in _BINDING_LIST}
-
-_shared_store = TriangleStore()
 
 
 def _resolve(binding: SequenceBinding | str) -> SequenceBinding:
@@ -279,29 +286,22 @@ def _resolve(binding: SequenceBinding | str) -> SequenceBinding:
         ) from None
 
 
-def terms(
-    binding: SequenceBinding | str,
-    count: int,
-    store: TriangleStore | None = None,
-) -> list[int]:
+def terms(binding: SequenceBinding | str, count: int) -> list[int]:
     """First ``count`` terms of a bound construction."""
     b = _resolve(binding)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if store is None:
-        store = _shared_store
-    return [b.generator(j, store) for j in range(count)]
+    return b.generator(count)
 
 
 def export_bfile(
     binding: SequenceBinding | str,
     count: int,
     destination: str | os.PathLike,
-    store: TriangleStore | None = None,
 ) -> BFile:
     """Write ``count`` terms in b-file format, indexed from the offset."""
     b = _resolve(binding)
-    values = terms(b, count, store)
+    values = terms(b, count)
     entries = tuple((b.offset + j, v) for j, v in enumerate(values))
     body = "".join(f"{i} {v}\n" for i, v in entries)
     Path(destination).write_text(body, encoding="ascii")
@@ -338,7 +338,6 @@ def resolve_offset(
 def crosscheck(
     binding: SequenceBinding | str,
     count: int,
-    store: TriangleStore | None = None,
     cache_dir: str | os.PathLike | None = None,
     online: bool = False,
 ) -> VerifyReport:
@@ -359,7 +358,7 @@ def crosscheck(
             f"{b.oeis_id}: b-file covers indices {bfile.first_index}.."
             f"{bfile.entries[-1][0]}, cannot check {count} terms from {b.offset}"
         )
-    computed = terms(b, count, store)
+    computed = terms(b, count)
     failures = []
     for j, value in enumerate(computed):
         index, expected = bfile.entries[skip + j]

@@ -23,6 +23,7 @@ __all__ = [
     "PathSpec",
     "PathTrace",
     "trace",
+    "path_sums",
     "sum_S",
     "sum_Sbar",
     "sum_T",
@@ -83,56 +84,66 @@ class PathTrace:
 
     @property
     def total(self) -> int:
+        """The path sum; for Sbar, 2*values[0] - S, as the walk starts at (n, n)."""
+        if self.spec.family == "Sbar":
+            return 2 * self.values[0] - sum(self.values)
         return sum(self.values)
 
 
-def _steps(spec: PathSpec) -> int:
-    # Number of steps k >= 1 that remain in range, from the stopping
-    # condition of each family; k = 0 (the start cell) always counts.
-    if spec.family == "T":
-        return -spec.n // (spec.c + spec.l)
-    return spec.n // spec.c
+def trace(spec: PathSpec) -> PathTrace:
+    """List the cells a path visits together with their entries.
 
-
-def _walk(spec: PathSpec, store: TriangleStore) -> PathTrace:
-    if spec.family == "T":
-        start_row, start_col = spec.n, 0
-    else:
-        start_row, start_col = spec.n, spec.n
-    cells = []
-    values = []
-    for k in range(_steps(spec) + 1):
-        row = start_row + k * spec.l
-        col = start_col - k * spec.c
-        cells.append((row, col))
-        values.append(store.cell(spec.m, row, col))
-    return PathTrace(spec, tuple(cells), tuple(values))
-
-
-def trace(spec: PathSpec, store: TriangleStore | None = None) -> PathTrace:
-    """List the cells a path visits together with the summed entries.
-
-    For Sbar the cells are those of the underlying S walk; the reported
-    values are unchanged (the complement applies to the total only).
+    For Sbar the cells and values are those of the underlying S walk;
+    the complement applies to :attr:`PathTrace.total` only.
     """
-    return _walk(spec, store if store is not None else TriangleStore())
+    # Each family stops at its last in-range step k.
+    if spec.family == "T":
+        start_col, steps = 0, -spec.n // (spec.c + spec.l)
+    else:
+        start_col, steps = spec.n, spec.n // spec.c
+    cells = tuple(
+        (spec.n + k * spec.l, start_col - k * spec.c) for k in range(steps + 1)
+    )
+    # Rows fall along the walk, so read them backwards: the store moves forward.
+    store = TriangleStore()
+    values = [store.cell(spec.m, row, col) for row, col in reversed(cells)]
+    return PathTrace(spec, cells, tuple(reversed(values)))
 
 
-def sum_S(m: int, c: int, l: int, n: int, store: TriangleStore | None = None) -> int:
+def path_sums(m: int, c: int, l: int, family: str, N: int) -> list[int]:
+    """One family's path sums for every n in 0..N, from one pass over rows 0..N.
+
+    Step k of path n lies on row r = n - k|l|, at column r - k(c + l) for
+    S and k|c| for T, so each row is scattered into the sums it feeds.
+    Sum n is complete after row n, when Sbar takes its complement.
+    """
+    PathSpec(m, c, l, family, N)
+    drop = c if family == "T" else c + l
+    sums = [0] * (N + 1)
+    store = TriangleStore()
+    for r in range(N + 1):
+        row = store.row(m, r)
+        col = 0 if family == "T" else r
+        for n in range(r, N + 1, -l):
+            if not 0 <= col <= r:
+                break
+            sums[n] += row[col]
+            col -= drop
+        if family == "Sbar":
+            sums[r] = 2 * row[r] - sums[r]
+    return sums
+
+
+def sum_S(m: int, c: int, l: int, n: int) -> int:
     """Down-left path sum from the diagonal cell (n, n)."""
-    spec = PathSpec(m, c, l, "S", n)
-    return _walk(spec, store if store is not None else TriangleStore()).total
+    return path_sums(m, c, l, "S", n)[n]
 
 
-def sum_Sbar(m: int, c: int, l: int, n: int, store: TriangleStore | None = None) -> int:
+def sum_Sbar(m: int, c: int, l: int, n: int) -> int:
     """Complementary sum 2*cell(n, n) - S; counts the diagonal cell twice."""
-    if store is None:
-        store = TriangleStore()
-    spec = PathSpec(m, c, l, "Sbar", n)
-    return 2 * store.cell(m, n, n) - _walk(spec, store).total
+    return path_sums(m, c, l, "Sbar", n)[n]
 
 
-def sum_T(m: int, c: int, l: int, n: int, store: TriangleStore | None = None) -> int:
+def sum_T(m: int, c: int, l: int, n: int) -> int:
     """Up-right path sum from the left-edge cell (n, 0)."""
-    spec = PathSpec(m, c, l, "T", n)
-    return _walk(spec, store if store is not None else TriangleStore()).total
+    return path_sums(m, c, l, "T", n)[n]

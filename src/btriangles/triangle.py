@@ -1,4 +1,4 @@
-"""Iterated partial-sum triangles with memoized rows.
+"""Iterated partial-sum triangles, read row by row.
 
 Order 1 is Pascal's triangle.  Order m is the prefix sum of order m - 1:
 entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1.
@@ -13,22 +13,20 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from operator import add
 
 __all__ = ["TriangleStore", "cell_bruteforce"]
 
 
 class TriangleStore:
-    """Lazy, memoized table of triangle rows keyed by (order, row).
+    """Forward cursor over triangle rows, holding one row per order.
 
-    Rows are immutable tuples and are published with a single dict
-    assignment after they are fully built, so concurrent readers never
-    observe a partial row.  Two threads may race to build the same row;
-    they produce identical tuples and the duplicated work is harmless.
-    Nothing is ever evicted: path sums and the OEIS bindings reread rows.
+    ``row(m, n)`` steps the held row of order m forward to row n by the
+    Pascal rule and then holds row n; an earlier n rebuilds from row 0.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._cursor: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def row(self, m: int, n: int) -> tuple[int, ...]:
         """Row n of the order-m triangle: entries for columns 0..n."""
@@ -36,34 +34,23 @@ class TriangleStore:
             raise ValueError(f"triangle order must be >= 1, got {m}")
         if n < 0:
             raise ValueError(f"row index must be >= 0, got {n}")
-        return self._rows.get((m, n)) or self._build_row(m, n)
+        held, row = self._cursor.get(m, (0, (1,)))
+        if held > n:
+            held, row = 0, (1,)
+        for r in range(held + 1, n + 1):
+            row = (1, *map(add, row, row[1:]), _diagonal(m, r))
+        self._cursor[m] = (n, row)
+        return row
 
     def cell(self, m: int, n: int, k: int) -> int:
         """Entry (n, k) of the order-m triangle.
 
-        Columns outside 0..n read as 0 (vanishing convention), which is
-        what the path-sum code relies on; addressability proper is the
-        0 <= k <= n condition.
+        Columns outside 0..n read as 0 (vanishing convention);
+        addressability proper is the 0 <= k <= n condition.
         """
         if k < 0 or k > n:
             return 0
         return self.row(m, n)[k]
-
-    def _build_row(self, m: int, n: int) -> tuple[int, ...]:
-        # Iterative over n so deep rows do not recurse; each missing
-        # row is one Pascal pass over its predecessor of the same order.
-        start = n
-        while start > 0 and (m, start - 1) not in self._rows:
-            start -= 1
-        for r in range(start, n + 1):
-            if r == 0:
-                row = (1,)
-            else:
-                prev = self._rows[m, r - 1]
-                inner = (prev[k] + prev[k - 1] for k in range(1, r))
-                row = (1, *inner, _diagonal(m, r))
-            self._rows[m, r] = row
-        return self._rows[m, n]
 
 
 def _diagonal(m: int, n: int) -> int:

@@ -7,8 +7,6 @@ reported individually; ``-s`` additionally shows the printed lines.
 import random
 from fractions import Fraction
 
-import pytest
-
 from btriangles import (
     BINDINGS,
     TriangleStore,
@@ -31,11 +29,6 @@ from btriangles import (
 )
 
 F = Fraction
-
-
-@pytest.fixture(scope="module")
-def store():
-    return TriangleStore()
 
 
 def report(k, text):
@@ -71,13 +64,13 @@ def test_criterion_04_order3_to_5_t_sum_closed_forms():
               "rational intermediates integral")
 
 
-def test_criterion_05_polynomial_derivation_end_to_end(store):
+def test_criterion_05_polynomial_derivation_end_to_end():
     for m in range(1, 11):
         pair = derive_QR(m)
         assert pair.Q.degree == max(m - 2, 0)
         assert pair.R.degree == max(m - 3, 0)
         for n in range(121):
-            assert tm_closed(m, n) == sum_T(m, -1, -1, n, store), (m, n)
+            assert tm_closed(m, n) == sum_T(m, -1, -1, n), (m, n)
     printed = {
         2: ((F(1),), ()),
         3: ((F(7, 2), F(1, 2)), (F(1, 2),)),
@@ -96,47 +89,49 @@ def test_criterion_05_polynomial_derivation_end_to_end(store):
               "polynomials for m in {2,3,4,5}")
 
 
-def test_criterion_06_lambda_three_way_and_reconstruction(store):
+def test_criterion_06_lambda_three_way_and_reconstruction():
     for c in range(2, 9):
         for n in range(1, 201):
             rec = lambda_rec(c, n)
-            assert lambda_diff(c, n, store) == rec, (c, n)
+            assert lambda_diff(c, n) == rec, (c, n)
             assert lambda_explicit(c, n) == rec, (c, n)
     for n in range(1, 201):
         assert lambda_rec(2, n) == fib(n - 1)
     for c in range(2, 9):
         for n in range(121):
-            assert s2_reconstruct(c, n) == sum_S(2, c, 1 - c, n, store), (c, n)
+            assert s2_reconstruct(c, n) == sum_S(2, c, 1 - c, n), (c, n)
     report(6, "lambda_diff = lambda_rec = lambda_explicit for c in [2,8], "
               "n in [1,200]; lambda(2) is Fibonacci; reconstruction matches "
               "path sums for n in [0,120]")
 
 
-def test_criterion_07_worked_example_values(store):
+def test_criterion_07_worked_example_values():
+    store = TriangleStore()
     assert store.row(2, 9) == (1, 10, 46, 130, 256, 382, 466, 502, 511, 512)
     assert store.row(3, 9) == (1, 11, 57, 187, 443, 825, 1291, 1793, 2304, 2816)
-    assert [sum_Sbar(2, 2, -1, n, store) for n in range(10)] == [
+    assert [sum_Sbar(2, 2, -1, n) for n in range(10)] == [
         1, 2, 3, 5, 8, 13, 21, 34, 55, 89,
     ]
-    assert [sum_S(2, 2, -1, n, store) for n in range(8)] == [
+    assert [sum_S(2, 2, -1, n) for n in range(8)] == [
         1, 2, 5, 11, 24, 51, 107, 222,
     ]
-    assert [sum_S(2, 3, -2, n, store) for n in range(8)] == [
+    assert [sum_S(2, 3, -2, n) for n in range(8)] == [
         1, 2, 4, 9, 19, 39, 80, 163,
     ]
-    assert [sum_T(2, -1, -1, n, store) for n in range(9)] == [
+    assert [sum_T(2, -1, -1, n) for n in range(9)] == [
         1, 1, 3, 4, 9, 13, 26, 39, 73,
     ]
-    assert [sum_Sbar(3, 2, -1, n, store) for n in range(8)] == [
+    assert [sum_Sbar(3, 2, -1, n) for n in range(8)] == [
         1, 3, 7, 16, 35, 75, 158, 329,
     ]
-    assert [sum_T(3, -1, -1, n, store) for n in range(8)] == [
+    assert [sum_T(3, -1, -1, n) for n in range(8)] == [
         1, 1, 4, 5, 14, 19, 45, 64,
     ]
     report(7, "all worked example rows and sequences reproduce exactly")
 
 
-def test_criterion_08_triangle_oracle_equivalence(store):
+def test_criterion_08_triangle_oracle_equivalence():
+    store = TriangleStore()
     for m in range(1, 5):
         for n in range(25):
             for k in range(n + 1):
@@ -161,17 +156,17 @@ def test_criterion_09_telescoping_inversion():
               "Fibonacci summation relations hold for n in [0,200]")
 
 
-def test_criterion_10_oeis_crosschecks_offline(store, tmp_path):
+def test_criterion_10_oeis_crosschecks_offline(tmp_path):
     for oeis_id in sorted(BINDINGS):
-        result = crosscheck(oeis_id, 50, store=store)
+        result = crosscheck(oeis_id, 50)
         assert result.ok, result.summary()
     for oeis_id in sorted(BINDINGS):
         path = tmp_path / f"{oeis_id}.txt"
-        written = export_bfile(oeis_id, 60, path, store)
+        written = export_bfile(oeis_id, 60, path)
         parsed = parse_bfile(path.read_text(), str(path))
         assert parsed.entries == written.entries
         second = tmp_path / f"{oeis_id}.again.txt"
-        export_bfile(oeis_id, 60, second, store)
+        export_bfile(oeis_id, 60, second)
         assert second.read_bytes() == path.read_bytes()
     report(10, "all 11 sequence bindings crosscheck on 50 terms against "
                "bundled snapshots; b-file export/parse round-trips "

@@ -1,6 +1,6 @@
 from click.testing import CliRunner
 
-from btriangles.cli import main, run
+from btriangles.cli import _PATHSUM_N_MAX, main, run
 from btriangles.identities import REGISTRY, IdentityRecord
 
 
@@ -67,6 +67,21 @@ def test_pathsum_sbar_total_differs_from_walk():
         "--n", "9",
     )
     assert result.output.strip() == "89"
+
+
+def test_pathsum_n_above_limit_is_usage_error():
+    result = invoke(
+        "pathsum", "--order", "2", "--family", "T", "--c", "-1", "--l", "-1",
+        "--n", str(_PATHSUM_N_MAX + 1),
+    )
+    assert result.exit_code == 2
+    assert f"x<={_PATHSUM_N_MAX}" in result.output
+
+
+def test_pathsum_help_states_n_limit():
+    result = invoke("pathsum", "--help")
+    assert result.exit_code == 0
+    assert f"x<={_PATHSUM_N_MAX}" in result.output
 
 
 def test_pathsum_rejects_inadmissible_step():

@@ -5,12 +5,6 @@ import pytest
 from btriangles.fibonacci import fib
 from btriangles.gfib import lambda_diff, lambda_explicit, lambda_rec, s2_reconstruct
 from btriangles.paths import sum_S
-from btriangles.triangle import TriangleStore
-
-
-@pytest.fixture(scope="module")
-def store():
-    return TriangleStore()
 
 
 def test_recurrence_shape():
@@ -28,17 +22,17 @@ def test_explicit_values():
     assert lambda_explicit(2, 10) == 34
 
 
-def test_diff_values(store):
-    assert lambda_diff(4, 9, store) == 3
-    assert lambda_diff(3, 8, store) == 4
-    assert lambda_diff(2, 9, store) == 21
+def test_diff_values():
+    assert lambda_diff(4, 9) == 3
+    assert lambda_diff(3, 8) == 4
+    assert lambda_diff(2, 9) == 21
 
 
-def test_three_way_agreement_small(store):
+def test_three_way_agreement_small():
     for c in range(2, 9):
         for n in range(61):
             rec = lambda_rec(c, n)
-            assert lambda_diff(c, n, store) == rec
+            assert lambda_diff(c, n) == rec
             assert lambda_explicit(c, n) == rec
 
 
@@ -64,19 +58,19 @@ def test_reconstruction_frozen_values():
     assert s2_reconstruct(9, 0) == 1
 
 
-def test_reconstruction_matches_path_sum(store):
+def test_reconstruction_matches_path_sum():
     for c in range(2, 9):
         for n in range(61):
-            assert s2_reconstruct(c, n) == sum_S(2, c, 1 - c, n, store)
+            assert s2_reconstruct(c, n) == sum_S(2, c, 1 - c, n)
 
 
-def test_rejects_bad_arguments(store):
+def test_rejects_bad_arguments():
     for fn in (lambda_rec, lambda_explicit):
         with pytest.raises(ValueError):
             fn(1, 5)
         with pytest.raises(ValueError):
             fn(3, -1)
     with pytest.raises(ValueError):
-        lambda_diff(1, 5, store)
+        lambda_diff(1, 5)
     with pytest.raises(ValueError):
         s2_reconstruct(1, 5)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import btriangles
+from btriangles.identities import sbar31, sbar31diff3, sbar41
 from btriangles.oeis import (
     BINDINGS,
     BFile,
@@ -18,7 +19,7 @@ from btriangles.oeis import (
     resolve_offset,
     terms,
 )
-from btriangles.triangle import TriangleStore
+from btriangles.paths import sum_S
 
 ALL_IDS = [
     "A000045",
@@ -33,11 +34,6 @@ ALL_IDS = [
     "A138653",
     "A193605",
 ]
-
-
-@pytest.fixture(scope="module")
-def store():
-    return TriangleStore()
 
 
 def test_binding_table_covers_all_cited_sequences():
@@ -73,37 +69,51 @@ def test_snapshots_load_for_every_binding():
         assert len(snap.entries) >= 50
 
 
-def test_terms_examples(store):
-    assert terms("A008949", 10, store) == [1, 1, 2, 1, 3, 4, 1, 4, 7, 8]
-    assert terms("A193605", 10, store) == [1, 1, 3, 1, 4, 8, 1, 5, 12, 20]
-    assert terms("A000045", 8, store) == [0, 1, 1, 2, 3, 5, 8, 13]
+def test_terms_examples():
+    assert terms("A008949", 10) == [1, 1, 2, 1, 3, 4, 1, 4, 7, 8]
+    assert terms("A193605", 10) == [1, 1, 3, 1, 4, 8, 1, 5, 12, 20]
+    assert terms("A000045", 8) == [0, 1, 1, 2, 3, 5, 8, 13]
 
 
-def test_terms_rejects_unknown_and_bad_count(store):
+def test_path_sum_bindings_match_per_index_functions():
+    # The bindings generate their terms in one pass over the rows; the
+    # public per-index functions must give the same terms.
+    per_index = {
+        "A005251": sbar31,
+        "A005314": lambda j: sbar31diff3(j + 1),
+        "A027934": lambda j: sum_S(2, 2, -1, j),
+        "A099568": lambda j: sum_S(2, 3, -2, j),
+        "A138653": sbar41,
+    }
+    for oeis_id, term in per_index.items():
+        assert terms(oeis_id, 40) == [term(j) for j in range(40)], oeis_id
+
+
+def test_terms_rejects_unknown_and_bad_count():
     with pytest.raises(KeyError):
-        terms("A999999", 5, store)
+        terms("A999999", 5)
     with pytest.raises(ValueError):
-        terms("A000045", 0, store)
+        terms("A000045", 0)
 
 
-def test_export_format_example(tmp_path, store):
+def test_export_format_example(tmp_path):
     path = tmp_path / "b000045.txt"
-    written = export_bfile("A000045", 3, path, store)
+    written = export_bfile("A000045", 3, path)
     assert path.read_text() == "0 0\n1 1\n2 1\n"
     assert written.entries == ((0, 0), (1, 1), (2, 1))
 
 
-def test_export_parse_round_trip(tmp_path, store):
+def test_export_parse_round_trip(tmp_path):
     for oeis_id in ("A027934", "A005251", "A008949"):
         path = tmp_path / f"{oeis_id}.txt"
-        written = export_bfile(oeis_id, 40, path, store)
+        written = export_bfile(oeis_id, 40, path)
         assert parse_bfile(path.read_text(), str(path)).entries == written.entries
 
 
-def test_offsets_reresolve_to_frozen_values(store):
+def test_offsets_reresolve_to_frozen_values():
     for oeis_id, binding in BINDINGS.items():
         snap = load_snapshot(oeis_id)
-        prefix = terms(binding, 20, store)
+        prefix = terms(binding, 20)
         assert resolve_offset(prefix, snap) == binding.offset, oeis_id
 
 
@@ -119,24 +129,27 @@ def test_resolve_offset_rejects_ambiguity():
         resolve_offset([1] * 12, flat, window=6)  # window too narrow
 
 
-def test_crosscheck_all_bindings_offline(store):
+def test_crosscheck_all_bindings_offline():
     for oeis_id in ALL_IDS:
-        report = crosscheck(oeis_id, 50, store=store)
+        report = crosscheck(oeis_id, 50)
         assert report.ok, report.summary()
 
 
-def test_crosscheck_negative_control(store):
+def test_crosscheck_negative_control():
     wrong = SequenceBinding(
-        "A000045", lambda j, s: j * j, 0, "deliberately mis-bound"
+        "A000045",
+        lambda count: [j * j for j in range(count)],
+        0,
+        "deliberately mis-bound",
     )
-    report = crosscheck(wrong, 20, store=store)
+    report = crosscheck(wrong, 20)
     assert not report.ok
     assert report.failures
 
 
-def test_crosscheck_count_beyond_snapshot(store):
+def test_crosscheck_count_beyond_snapshot():
     with pytest.raises(ValueError, match="cannot check"):
-        crosscheck("A000045", 10_000, store=store)
+        crosscheck("A000045", 10_000)
 
 
 def test_fetch_uses_warm_cache_without_network(tmp_path):
@@ -198,12 +211,12 @@ def test_snapshot_headers_carry_provenance():
         assert "rule:" in head[1]
 
 
-def test_crosscheck_online_flag_reads_cache(tmp_path, store):
+def test_crosscheck_online_flag_reads_cache(tmp_path):
     # online=True with a warm cache must not require networking.
     snap = load_snapshot("A000045")
     body = "".join(f"{i} {v}\n" for i, v in snap.entries)
     (tmp_path / "b000045.txt").write_text(body)
-    report = crosscheck("A000045", 30, store=store, cache_dir=tmp_path, online=True)
+    report = crosscheck("A000045", 30, cache_dir=tmp_path, online=True)
     assert report.ok
 
 
@@ -213,9 +226,9 @@ def test_fetch_rejects_corrupt_cached_file(tmp_path):
         fetch_bfile("A000045", cache_dir=tmp_path)
 
 
-def test_export_rejects_unknown_id(tmp_path, store):
+def test_export_rejects_unknown_id(tmp_path):
     with pytest.raises(KeyError):
-        export_bfile("A999999", 5, tmp_path / "x.txt", store)
+        export_bfile("A999999", 5, tmp_path / "x.txt")
 
 
 def test_environment_variable_not_required(monkeypatch, tmp_path):
@@ -228,8 +241,8 @@ def test_environment_variable_not_required(monkeypatch, tmp_path):
     assert fetch_bfile("A000045").values() == (0, 1)
 
 
-def test_offline_default_ignores_cache_dir(store, tmp_path):
+def test_offline_default_ignores_cache_dir(tmp_path):
     # Snapshot route must not read or create anything under cache_dir.
-    report = crosscheck("A099568", 30, store=store, cache_dir=tmp_path)
+    report = crosscheck("A099568", 30, cache_dir=tmp_path)
     assert report.ok
     assert not os.listdir(tmp_path)

@@ -16,7 +16,6 @@ from btriangles.polyderive import (
     poly_eval,
     tm_closed,
 )
-from btriangles.triangle import TriangleStore
 
 F = Fraction
 
@@ -120,10 +119,9 @@ def test_tm_closed_frozen_values():
 
 
 def test_tm_closed_matches_path_sum():
-    store = TriangleStore()
     for m in range(1, 7):
         for n in range(61):
-            assert tm_closed(m, n) == sum_T(m, -1, -1, n, store)
+            assert tm_closed(m, n) == sum_T(m, -1, -1, n)
 
 
 def test_tm_closed_rejects_negative_index():

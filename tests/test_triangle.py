@@ -91,6 +91,16 @@ def test_rows_are_memoized(store):
     assert store.row(2, 12) is store.row(2, 12)
 
 
+def test_cursor_holds_one_row_per_order():
+    store = TriangleStore()
+    for n in range(40):
+        store.row(2, n)
+        store.row(3, n)
+    assert {m: n for m, (n, _) in store._cursor.items()} == {2: 39, 3: 39}
+    assert store.row(2, 7) == (1, 8, 29, 64, 99, 120, 127, 128)
+    assert store._cursor[2] == (7, store.row(2, 7))
+
+
 def test_bruteforce_values():
     assert cell_bruteforce(2, 4, 2) == 11
     assert cell_bruteforce(3, 7, 6) == 448
@@ -138,7 +148,7 @@ def test_high_order_row_builds_no_lower_order():
     store = TriangleStore()
     assert store.row(1200, 3) == (1, 1202, 723000, 290161598)
     assert store.row(1200, 3) == tuple(_convolution(1200, 3, k) for k in range(4))
-    assert {m for m, _ in store._rows} == {1200}
+    assert set(store._cursor) == {1200}
 
 
 class _CrossOrderStore:
