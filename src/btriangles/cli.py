@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import click
 
 from . import identities, oeis
-from .gfib import lambda_rec
+from .gfib import lambda_values
 from .paths import InvalidPathSpec, PathSpec, sum_S, sum_Sbar, sum_T, trace
 from .polyderive import derive_QR
 from .triangle import TriangleStore
@@ -24,6 +24,10 @@ _FAMILY_SUM = {"S": sum_S, "Sbar": sum_Sbar, "T": sum_T}
 # Measured: an order-2 or order-3 path sum takes 1.7-2.6 s at n = 4000 and
 # 6.6-9.2 s at n = 6000 (CPython 3.11, 2 vCPUs); the cost grows as n^2 or faster.
 _PATHSUM_N_MAX = 4000
+# lambda grows fastest at c = 2: lambda_20579(2) is over CPython's int-to-str limit.
+_LAMBDA_TERMS_MAX = 20000
+# Measured: derive-poly takes 2.5 s at order 300 and 5.9 s at order 400.
+_DERIVE_ORDER_MAX = 300
 
 
 @click.group()
@@ -77,13 +81,16 @@ def pathsum_cmd(
 
 @main.command("lambda")
 @click.option("--c", type=int, required=True, help="column drop, >= 2")
-@click.option("--terms", type=int, required=True, help="number of terms")
+@click.option(
+    "--terms",
+    type=click.IntRange(1, _LAMBDA_TERMS_MAX),
+    required=True,
+    help="number of terms",
+)
 def lambda_cmd(c: int, terms: int) -> None:
     """Print the generalized Fibonacci values lambda_1(c)..lambda_TERMS(c)."""
-    if terms < 1:
-        raise click.UsageError("need --terms >= 1")
     try:
-        values = [lambda_rec(c, n) for n in range(1, terms + 1)]
+        values = lambda_values(c, terms)[1:]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     for value in values:
@@ -113,11 +120,14 @@ def verify_cmd(
 
 
 @main.command("derive-poly")
-@click.option("--order", type=int, required=True, help="triangle order, >= 1")
+@click.option(
+    "--order",
+    type=click.IntRange(1, _DERIVE_ORDER_MAX),
+    required=True,
+    help="triangle order",
+)
 def derive_poly_cmd(order: int) -> None:
     """Print the polynomial pair of the order-ORDER T-path closed form."""
-    if order < 1:
-        raise click.UsageError("need --order >= 1")
     pair = derive_QR(order)
     click.echo(f"Q = {pair.Q}")
     click.echo(f"R = {pair.R}")

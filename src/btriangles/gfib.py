@@ -16,7 +16,6 @@ Inverting the difference by telescoping rebuilds the path sum itself.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 from .exactnum import binomial
@@ -42,22 +41,18 @@ def lambda_diff(c: int, n: int) -> int:
     return sums[n] - 2 * sums[n - 1]
 
 
-# Per-c value lists, extended under a single lock; reads are lock-free.
-_rec_cache: dict[int, list[int]] = {}
-_rec_lock = threading.Lock()
+def lambda_values(c: int, n: int) -> list[int]:
+    """The list lambda_0(c)..lambda_n(c), by lambda_k = lambda_{k-1} + lambda_{k-c}."""
+    _check_args(c, n)
+    values = [int(k == c) for k in range(n + 1)]
+    for k in range(c + 1, n + 1):
+        values[k] = values[k - 1] + values[k - c]
+    return values
 
 
 def lambda_rec(c: int, n: int) -> int:
     """lambda_n(c) from the recurrence lambda_n = lambda_{n-1} + lambda_{n-c}."""
-    _check_args(c, n)
-    values = _rec_cache.get(c)
-    if values is None or len(values) <= n:
-        with _rec_lock:
-            values = _rec_cache.setdefault(c, [0] * c + [1])
-            while len(values) <= n:
-                i = len(values)
-                values.append(values[i - 1] + values[i - c])
-    return values[n]
+    return lambda_values(c, n)[n]
 
 
 @lru_cache(maxsize=None)
@@ -82,5 +77,4 @@ def s2_reconstruct(c: int, n: int) -> int:
     Telescopes the defining difference back up from S2_0 = 1; the test
     suite checks the result against the direct path sum.
     """
-    _check_args(c, n)
-    return telescope(1, [lambda_rec(c, k) for k in range(1, n + 1)], n)
+    return telescope(1, lambda_values(c, n)[1:], n)

@@ -1,10 +1,11 @@
 """Registry pairing each closed-form identity with a brute-force oracle.
 
 Every record names one verifiable statement about the triangles: a
-closed form built from Fibonacci numbers, powers of two, and the
-derived polynomials on one side, and an oracle that recomputes the same
-quantity by direct binomial summation on the other.  The two sides
-share no code, so agreement over a sweep is genuine evidence.
+closed form built from Fibonacci numbers, powers of two, binomial
+coefficients and the derived and printed polynomials on one side, and
+an oracle that recomputes the same quantity by direct binomial summation
+over the triangle on the other.  Closed sides never call oracle code,
+so agreement over a sweep is genuine evidence.
 
 :func:`verify` sweeps one record over an index range and reports every
 mismatch.  Multi-parameter families (a range of orders m or drops c)
@@ -22,7 +23,7 @@ from .exactnum import binomial, pow2
 from .fibonacci import fib, telescope
 from .gfib import lambda_explicit
 from .paths import path_sums, sum_Sbar
-from .polyderive import tm_closed
+from .polyderive import QRPair, RatPolynomial, qr_closed, tm_closed
 from .triangle import cell_bruteforce
 
 __all__ = [
@@ -88,36 +89,19 @@ def _brute_T(m: int, n: int) -> int:
     return sum(cell_bruteforce(m, n - k, k) for k in range(n // 2 + 1))
 
 
-def _as_int(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integer value {value} in {context}")
-    return int(value)
-
-
-# Closed forms with rational halves; exact throughout, asserted integral.
-
-
-def _rest3_closed(n: int) -> int:
-    p = (n + 1) // 2
-    sign = -1 if n % 2 else 1
-    inner = Fraction(p, 2) + Fraction(7, 2) + Fraction(sign, 2)
-    return _as_int(fib(n + 5) - pow2(p) * inner, "resT3")
-
-
-def _t4_closed(n: int) -> int:
-    p = (n + 1) // 2
-    sign = -1 if n % 2 else 1
-    q = Fraction(p * p, 8) + Fraction(17 * p, 8) + 10
-    r = Fraction(p, 4) + 2
-    return _as_int(fib(n + 7) - pow2(p) * (q + sign * r), "T4closed")
-
-
-def _t5_closed(n: int) -> int:
-    p = (n + 1) // 2
-    sign = -1 if n % 2 else 1
-    q = Fraction(p**3, 48) + Fraction(5 * p * p, 8) + Fraction(317 * p, 48) + 27
-    r = Fraction(p * p, 16) + Fraction(19 * p, 16) + 6
-    return _as_int(fib(n + 9) - pow2(p) * (q + sign * r), "T5closed")
+# The paper's printed (Q, R) pairs for orders 2..5, coefficients of p^0 up.
+_PRINTED_QR = {
+    m: QRPair(m, RatPolynomial(q), RatPolynomial(r))
+    for m, (q, r) in {
+        2: ((1,), ()),
+        3: ((Fraction(7, 2), Fraction(1, 2)), (Fraction(1, 2),)),
+        4: ((10, Fraction(17, 8), Fraction(1, 8)), (2, Fraction(1, 4))),
+        5: (
+            (27, Fraction(317, 48), Fraction(5, 8), Fraction(1, 48)),
+            (6, Fraction(19, 16), Fraction(1, 16)),
+        ),
+    }.items()
+}
 
 
 def _corollary1_closed(n: int) -> tuple[int, ...]:
@@ -171,21 +155,21 @@ REGISTRY: dict[str, IdentityRecord] = {
         ),
         IdentityRecord(
             "T2even",
-            lambda p: _brute_T(2, 2 * p - 1) + fib(2 * p + 1),
+            lambda p: tm_closed(2, 2 * p - 1) + fib(2 * p + 1),
             lambda p: _brute_T(2, 2 * p),
             1,
             "even-index order-2 T recurrence with Fibonacci increment",
         ),
         IdentityRecord(
             "T2odd",
-            lambda p: _brute_T(2, 2 * p) + _brute_T(2, 2 * p - 1),
+            lambda p: tm_closed(2, 2 * p) + tm_closed(2, 2 * p - 1),
             lambda p: _brute_T(2, 2 * p + 1),
             1,
             "odd-index order-2 T recurrence",
         ),
         IdentityRecord(
             "resT2",
-            lambda n: fib(n + 3) - pow2((n + 1) // 2),
+            lambda n: qr_closed(_PRINTED_QR[2], n),
             lambda n: _brute_T(2, n),
             0,
             "order-2 T path sum closed form",
@@ -214,7 +198,7 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "TmOdd",
             lambda p: tuple(
-                _brute_T(m, 2 * p) + _brute_T(m, 2 * p - 1) for m in _T_ORDERS
+                tm_closed(m, 2 * p) + tm_closed(m, 2 * p - 1) for m in _T_ORDERS
             ),
             lambda p: tuple(_brute_T(m, 2 * p + 1) for m in _T_ORDERS),
             1,
@@ -223,7 +207,7 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "TmEven",
             lambda p: tuple(
-                _brute_T(m, 2 * p - 1) + _brute_T(m - 1, 2 * p) for m in _T_ORDERS
+                tm_closed(m, 2 * p - 1) + tm_closed(m - 1, 2 * p) for m in _T_ORDERS
             ),
             lambda p: tuple(_brute_T(m, 2 * p) for m in _T_ORDERS),
             1,
@@ -231,21 +215,21 @@ REGISTRY: dict[str, IdentityRecord] = {
         ),
         IdentityRecord(
             "resT3",
-            _rest3_closed,
+            lambda n: qr_closed(_PRINTED_QR[3], n),
             lambda n: _brute_T(3, n),
             0,
             "order-3 T path sum closed form with rational halves",
         ),
         IdentityRecord(
             "T4closed",
-            _t4_closed,
+            lambda n: qr_closed(_PRINTED_QR[4], n),
             lambda n: _brute_T(4, n),
             0,
             "order-4 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "T5closed",
-            _t5_closed,
+            lambda n: qr_closed(_PRINTED_QR[5], n),
             lambda n: _brute_T(5, n),
             0,
             "order-5 T path sum closed form, fixed printed coefficients",

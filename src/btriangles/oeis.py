@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from .fibonacci import fib
-from .gfib import lambda_rec
+from .gfib import lambda_values
 from .identities import VerifyReport
 from .paths import path_sums
 from .triangle import TriangleStore
@@ -183,7 +183,7 @@ def _fib_terms(count: int) -> list[int]:
 
 
 def _lambda_terms(c: int, count: int) -> list[int]:
-    return [lambda_rec(c, j + c) for j in range(count)]
+    return lambda_values(c, count + c - 1)[c:]
 
 
 def _row_terms(m: int, count: int) -> list[int]:

@@ -173,23 +173,26 @@ def derive_QR(m: int) -> QRPair:
     return QRPair(m, _from_newton(q), _from_newton(r))
 
 
-def tm_closed(m: int, n: int) -> int:
-    """T-path sum of order m at n via the Fibonacci-polynomial closed form.
+def qr_closed(pair: QRPair, n: int) -> int:
+    """F_{n+2m-1} - 2^p (Q(p) + (-1)^n R(p)) at n >= 0, for the pair's m, Q, R.
 
-    All arithmetic is rational; the result is asserted integral before
-    conversion, so a derivation bug cannot round its way to a wrong
-    integer.
+    Exact; the value is asserted integral before conversion, so a wrong
+    polynomial cannot round its way to a wrong integer.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    pair = derive_QR(m)
     p = (n + 1) // 2
     sign = -1 if n % 2 else 1
-    value = fib(n + 2 * m - 1) - (1 << p) * (
+    value = fib(n + 2 * pair.m - 1) - (1 << p) * (
         poly_eval(pair.Q, p) + sign * poly_eval(pair.R, p)
     )
     if value.denominator != 1:
         raise ArithmeticError(
-            f"closed form produced non-integer {value} at m={m}, n={n}"
+            f"closed form produced non-integer {value} at m={pair.m}, n={n}"
         )
     return int(value)
+
+
+def tm_closed(m: int, n: int) -> int:
+    """T-path sum of order m at n: :func:`qr_closed` over ``derive_QR(m)``."""
+    return qr_closed(derive_QR(m), n)

@@ -1,6 +1,14 @@
 from click.testing import CliRunner
 
-from btriangles.cli import _PATHSUM_N_MAX, main, run
+from btriangles import cli
+from btriangles.cli import (
+    _DERIVE_ORDER_MAX,
+    _LAMBDA_TERMS_MAX,
+    _PATHSUM_N_MAX,
+    main,
+    run,
+)
+from btriangles.fibonacci import fib
 from btriangles.identities import REGISTRY, IdentityRecord
 
 
@@ -102,6 +110,28 @@ def test_lambda_rejects_small_c():
     assert invoke("lambda", "--c", "1", "--terms", "5").exit_code == 2
 
 
+def test_lambda_terms_outside_range_is_usage_error(monkeypatch):
+    def no_work(c, n):
+        raise AssertionError("lambda values computed for a rejected request")
+
+    monkeypatch.setattr(cli, "lambda_values", no_work)
+    result = invoke("lambda", "--c", "2", "--terms", str(_LAMBDA_TERMS_MAX + 1))
+    assert result.exit_code == 2
+    assert f"x<={_LAMBDA_TERMS_MAX}" in result.output
+    assert invoke("lambda", "--c", "2", "--terms", "0").exit_code == 2
+
+
+def test_lambda_help_states_terms_limit():
+    result = invoke("lambda", "--help")
+    assert result.exit_code == 0
+    assert f"x<={_LAMBDA_TERMS_MAX}" in result.output
+
+
+def test_lambda_terms_limit_values_are_printable():
+    # lambda grows fastest at c = 2, where lambda_n(2) = F_(n-1).
+    str(fib(_LAMBDA_TERMS_MAX - 1))
+
+
 def test_verify_single_identity():
     result = invoke("verify", "--identity", "theorem1", "--n-max", "40")
     assert result.exit_code == 0
@@ -153,6 +183,18 @@ def test_derive_poly_printout():
 def test_derive_poly_order_one_prints_zeros():
     result = invoke("derive-poly", "--order", "1")
     assert result.output.splitlines() == ["Q = 0", "R = 0"]
+
+
+def test_derive_poly_order_above_limit_is_usage_error():
+    result = invoke("derive-poly", "--order", str(_DERIVE_ORDER_MAX + 1))
+    assert result.exit_code == 2
+    assert f"x<={_DERIVE_ORDER_MAX}" in result.output
+
+
+def test_derive_poly_help_states_order_limit():
+    result = invoke("derive-poly", "--help")
+    assert result.exit_code == 0
+    assert f"x<={_DERIVE_ORDER_MAX}" in result.output
 
 
 def test_sequence_prints_terms():

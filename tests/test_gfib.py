@@ -3,7 +3,13 @@ from hypothesis import strategies as st
 import pytest
 
 from btriangles.fibonacci import fib
-from btriangles.gfib import lambda_diff, lambda_explicit, lambda_rec, s2_reconstruct
+from btriangles.gfib import (
+    lambda_diff,
+    lambda_explicit,
+    lambda_rec,
+    lambda_values,
+    s2_reconstruct,
+)
 from btriangles.paths import sum_S
 
 
@@ -14,6 +20,13 @@ def test_recurrence_shape():
     assert lambda_rec(3, 7) == 3
     assert lambda_rec(3, 8) == 4
     assert lambda_rec(2, 9) == 21
+
+
+def test_values_list_matches_single_terms():
+    for c in range(2, 9):
+        assert lambda_values(c, 40) == [lambda_rec(c, n) for n in range(41)]
+    # Only n + 1 entries are allocated, however large the drop.
+    assert lambda_values(10**12, 3) == [0, 0, 0, 0]
 
 
 def test_explicit_values():

@@ -1,5 +1,6 @@
 import pytest
 
+from btriangles import identities
 from btriangles.identities import (
     REGISTRY,
     IdentityRecord,
@@ -45,6 +46,22 @@ def test_every_identity_verifies(name):
     assert report.name == name
     assert report.stop == 50
     assert report.elapsed >= 0
+
+
+def test_closed_sides_never_reach_the_oracle(monkeypatch):
+    def oracle(*args):
+        raise AssertionError("closed side called oracle code")
+
+    for name in ("cell_bruteforce", "_brute_S", "_brute_Sbar", "_brute_T"):
+        monkeypatch.setattr(identities, name, oracle)
+    reached = []
+    for name, rec in REGISTRY.items():
+        try:
+            for n in range(rec.valid_from, 21):
+                rec.closed_form(n)
+        except AssertionError:
+            reached.append(name)
+    assert reached == []
 
 
 def test_unknown_name_raises():

@@ -8,12 +8,14 @@ import pytest
 from btriangles.fibonacci import fib
 from btriangles.paths import sum_T
 from btriangles.polyderive import (
+    QRPair,
     RatPolynomial,
     _from_newton,
     _to_newton,
     derive_QR,
     discrete_sum,
     poly_eval,
+    qr_closed,
     tm_closed,
 )
 
@@ -127,6 +129,13 @@ def test_tm_closed_matches_path_sum():
 def test_tm_closed_rejects_negative_index():
     with pytest.raises(ValueError):
         tm_closed(2, -1)
+
+
+def test_qr_closed_rejects_non_integer_value():
+    # F_3 - 2^0 * 1/3 is not an integer: the evaluator must not round it.
+    pair = QRPair(2, RatPolynomial((F(1, 3),)), RatPolynomial(()))
+    with pytest.raises(ArithmeticError):
+        qr_closed(pair, 0)
 
 
 # Reference route for derive_QR: the same induction with each discrete
