@@ -24,10 +24,20 @@ _FAMILY_SUM = {"S": sum_S, "Sbar": sum_Sbar, "T": sum_T}
 # Measured: an order-2 or order-3 path sum takes 1.7-2.6 s at n = 4000 and
 # 6.6-9.2 s at n = 6000 (CPython 3.11, 2 vCPUs); the cost grows as n^2 or faster.
 _PATHSUM_N_MAX = 4000
+# Measured at n = 4000: order 200 takes 3.8 s, order 1200 12.3 s and order 4000
+# 29.9 s, as each row's diagonal costs min(n, order) terms.
+_PATHSUM_ORDER_MAX = 1200
 # lambda grows fastest at c = 2: lambda_20579(2) is over CPython's int-to-str limit.
 _LAMBDA_TERMS_MAX = 20000
 # Measured: derive-poly takes 2.5 s at order 300 and 5.9 s at order 400.
 _DERIVE_ORDER_MAX = 300
+# Measured: verify --all takes 24.7 s at n-max 1000 (50 MB peak RSS) and
+# 228 s at 2000 (132 MB); the cost grows as n^3.
+_VERIFY_N_MAX = 1000
+# Measured: the path-sum bindings take 1.8-2.3 s for 4000 terms, one pass over
+# rows 0..4000 as in pathsum --n 4000; every such term prints under CPython's
+# 4300-digit int-to-str limit (the largest has 1205 digits).
+_SEQUENCE_TERMS_MAX = 4000
 
 
 @click.group()
@@ -53,7 +63,12 @@ def triangle_cmd(order: int, rows: int, tsv: bool) -> None:
 
 
 @main.command("pathsum")
-@click.option("--order", type=int, required=True, help="triangle order, >= 1")
+@click.option(
+    "--order",
+    type=click.IntRange(max=_PATHSUM_ORDER_MAX),
+    required=True,
+    help="triangle order, >= 1",
+)
 @click.option(
     "--family", type=click.Choice(["S", "Sbar", "T"]), required=True
 )
@@ -100,7 +115,12 @@ def lambda_cmd(c: int, terms: int) -> None:
 @main.command("verify")
 @click.option("--identity", "name", type=str, default=None, help="one identity")
 @click.option("--all", "run_all", is_flag=True, help="every registered identity")
-@click.option("--n-max", type=int, required=True, help="sweep upper bound")
+@click.option(
+    "--n-max",
+    type=click.IntRange(max=_VERIFY_N_MAX),
+    required=True,
+    help="sweep upper bound",
+)
 @click.pass_context
 def verify_cmd(
     ctx: click.Context, name: str | None, run_all: bool, n_max: int
@@ -135,7 +155,13 @@ def derive_poly_cmd(order: int) -> None:
 
 @main.command("sequence")
 @click.option("--id", "oeis_id", type=str, required=True, help="OEIS id, AXXXXXX")
-@click.option("--terms", "count", type=int, required=True, help="number of terms")
+@click.option(
+    "--terms",
+    "count",
+    type=click.IntRange(1, _SEQUENCE_TERMS_MAX),
+    required=True,
+    help="number of terms",
+)
 @click.option(
     "--bfile",
     type=click.Path(dir_okay=False, writable=True),

@@ -7,6 +7,15 @@ an oracle that recomputes the same quantity by direct binomial summation
 over the triangle on the other.  Closed sides never call oracle code,
 so agreement over a sweep is genuine evidence.
 
+Each oracle is a forward stream: one pass over the rows of
+:func:`~btriangles.triangle.bruteforce_rows` (binomials by the
+multiplicative update, then prefix sums) scatters every cell into the
+pending sums of the paths through it and yields the record's value for
+n = 0, 1, 2, ...  No row is cached: a sweep to n holds O(n) numbers per order.
+The record's ``oracle(n)`` stays per-n: it holds the stream and the
+index of its last value, advances for a later n, repeats the held value
+for the same n and restarts the stream from 0 for an earlier n.
+
 :func:`verify` sweeps one record over an index range and reports every
 mismatch.  Multi-parameter families (a range of orders m or drops c)
 are single records whose sides return tuples, compared elementwise.
@@ -15,16 +24,19 @@ are single records whose sides return tuples, compared elementwise.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import count, islice
+from operator import add
 
 from .exactnum import binomial, pow2
 from .fibonacci import fib, telescope
 from .gfib import lambda_explicit
 from .paths import path_sums, sum_Sbar
 from .polyderive import QRPair, RatPolynomial, qr_closed, tm_closed
-from .triangle import cell_bruteforce
+from .triangle import bruteforce_rows
 
 __all__ = [
     "IdentityRecord",
@@ -71,22 +83,89 @@ class VerifyReport:
         return f"{self.name} FAIL at n={n}: closed={closed} oracle={oracle}"
 
 
-# Brute path sums.  Everything below reaches the triangle only through
-# cell_bruteforce (binomials and prefix sums), never through the
-# Pascal-recurrence rows the closed-form side of the package is built on.
+# The oracle streams.  They read rows only through bruteforce_rows, never
+# the Pascal-rule rows the closed-form side of the package is built on,
+# and share no code with paths.path_sums.  One pass over rows 0, 1, 2, ...
+# serves every path a record reads; sum n is complete once row n is fed,
+# since every path of index n stays in rows <= n.
 
 
-def _brute_S(m: int, c: int, l: int, n: int) -> int:
-    return sum(cell_bruteforce(m, n + k * l, n - k * c) for k in range(n // c + 1))
+def _rows(m: int) -> Iterator[list[list[int]]]:
+    return map(partial(bruteforce_rows, m), count())
 
 
-def _brute_Sbar(m: int, c: int, l: int, n: int) -> int:
-    return 2 * cell_bruteforce(m, n, n) - _brute_S(m, c, l, n)
+def _feed(pending: list[int], cells: list[int], step: int) -> int:
+    # pending[j] is the partial sum of index r + j while row r is fed;
+    # cells[k] belongs to index r + k*step.  Returns the now complete
+    # sum of index r and shifts pending to start at r + 1.
+    reach = (len(cells) - 1) * step + 1
+    pending.extend([0] * (reach - len(pending)))
+    pending[:reach:step] = map(add, pending[:reach:step], cells)
+    return pending.pop(0)
 
 
-def _brute_T(m: int, n: int) -> int:
-    # Steps (-1, -1) from (n, 0): cells (n - k, k) while k <= n - k.
-    return sum(cell_bruteforce(m, n - k, k) for k in range(n // 2 + 1))
+def _t_sums(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    # T along (-1, -1): cell (r, k) is step k of the path from (r + k, 0).
+    pending: list[list[int]] = [[] for _ in orders]
+    for rows in _rows(max(orders)):
+        yield tuple(_feed(p, rows[m - 1], 1) for p, m in zip(pending, orders))
+
+
+def _s_sums(
+    m: int, steps: Sequence[tuple[int, int]], complement: bool = False
+) -> Iterator[tuple[int, ...]]:
+    # S along (c, l) with c + l >= 1: cell (r, r - k(c + l)) is step k of
+    # the path from (r + k|l|, r + k|l|).  The complement is 2*cell(n, n) - S.
+    pending: list[list[int]] = [[] for _ in steps]
+    for r, rows in enumerate(_rows(m)):
+        row = rows[m - 1]
+        sums = (_feed(p, row[r :: -(c + l)], -l) for p, (c, l) in zip(pending, steps))
+        yield tuple(2 * row[r] - s for s in sums) if complement else tuple(sums)
+
+
+def _one(stream: Iterator[tuple[int, ...]]) -> Iterator[int]:
+    return (only for (only,) in stream)
+
+
+def _minus_twice_previous(stream: Iterator[int]) -> Iterator[int]:
+    previous = 0
+    for value in stream:
+        yield value - 2 * previous
+        previous = value
+
+
+def _cell_minus_twice_upper_left(m: int) -> Iterator[tuple[int, ...]]:
+    # cell(n, q) - 2*cell(n-1, q-1) for q in 1..n.
+    previous: list[int] = []
+    for rows in _rows(m):
+        row = rows[m - 1]
+        yield tuple(a - 2 * b for a, b in zip(row[1:], previous))
+        previous = row
+
+
+class _Streamed:
+    """Per-n view of a forward oracle stream.
+
+    Holds the running stream and the index and value of its last output.
+    A call at or past that index advances the stream; an earlier index
+    restarts it from n = 0, as the TriangleStore cursor rebuilds from
+    row 0.  Not for concurrent calls: threads would share one stream.
+    """
+
+    def __init__(self, start: Callable[[], Iterator]) -> None:
+        self._start = start
+        self._stream, self._at = start(), -1
+        self._value: object = None
+
+    def __call__(self, n: int):
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if n < self._at:
+            self._stream, self._at = self._start(), -1
+        while self._at < n:
+            self._value = next(self._stream)
+            self._at += 1
+        return self._value
 
 
 # The paper's printed (Q, R) pairs for orders 2..5, coefficients of p^0 up.
@@ -107,14 +186,11 @@ _PRINTED_QR = {
 def _corollary1_closed(n: int) -> tuple[int, ...]:
     return tuple(
         telescope(1, [lambda_explicit(c, k) for k in range(1, n + 1)], n)
-        for c in range(2, 9)
+        for c in _DROPS
     )
 
 
-def _corollary1_oracle(n: int) -> tuple[int, ...]:
-    return tuple(_brute_S(2, c, 1 - c, n) for c in range(2, 9))
-
-
+_DROPS = range(2, 9)
 _T_ORDERS = range(2, 7)
 _TM_ORDERS = range(1, 11)
 
@@ -125,73 +201,72 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "theorem1",
             lambda n: pow2(n + 1) - fib(n + 2),
-            lambda n: _brute_S(2, 2, -1, n),
+            _Streamed(lambda: _one(_s_sums(2, [(2, -1)]))),
             0,
             "order-2 diagonal path sum S_n(2,-1) = 2^(n+1) - F_(n+2)",
         ),
         IdentityRecord(
             "S2diff",
             lambda n: fib(n - 1),
-            lambda n: _brute_S(2, 2, -1, n) - 2 * _brute_S(2, 2, -1, n - 1),
+            _Streamed(lambda: _minus_twice_previous(_one(_s_sums(2, [(2, -1)])))),
             1,
             "difference of consecutive order-2 path sums is Fibonacci",
         ),
         IdentityRecord(
             "relB2diff",
             lambda n: tuple(binomial(n - 1, q) for q in range(1, n + 1)),
-            lambda n: tuple(
-                cell_bruteforce(2, n, q) - 2 * cell_bruteforce(2, n - 1, q - 1)
-                for q in range(1, n + 1)
-            ),
+            _Streamed(lambda: _cell_minus_twice_upper_left(2)),
             1,
             "cell minus twice its upper-left neighbour is binomial",
         ),
         IdentityRecord(
             "corollary1",
             _corollary1_closed,
-            _corollary1_oracle,
+            _Streamed(lambda: _s_sums(2, [(c, 1 - c) for c in _DROPS])),
             0,
             "path-sum reconstruction from the explicit lambda expansion, c in [2,8]",
         ),
         IdentityRecord(
             "T2even",
             lambda p: tm_closed(2, 2 * p - 1) + fib(2 * p + 1),
-            lambda p: _brute_T(2, 2 * p),
+            _Streamed(lambda: islice(_one(_t_sums([2])), 0, None, 2)),
             1,
             "even-index order-2 T recurrence with Fibonacci increment",
         ),
         IdentityRecord(
             "T2odd",
             lambda p: tm_closed(2, 2 * p) + tm_closed(2, 2 * p - 1),
-            lambda p: _brute_T(2, 2 * p + 1),
+            _Streamed(lambda: islice(_one(_t_sums([2])), 1, None, 2)),
             1,
             "odd-index order-2 T recurrence",
         ),
         IdentityRecord(
             "resT2",
             lambda n: qr_closed(_PRINTED_QR[2], n),
-            lambda n: _brute_T(2, n),
+            _Streamed(lambda: _one(_t_sums([2]))),
             0,
             "order-2 T path sum closed form",
         ),
         IdentityRecord(
             "rel8",
             lambda n: fib(n),
-            lambda n: _brute_Sbar(3, 2, -1, n) - 2 * _brute_Sbar(3, 2, -1, n - 1),
+            _Streamed(
+                lambda: _minus_twice_previous(_one(_s_sums(3, [(2, -1)], True)))
+            ),
             1,
             "difference of consecutive order-3 complementary sums is Fibonacci",
         ),
         IdentityRecord(
             "S3barClosed",
             lambda n: 3 * pow2(n) - fib(n + 3),
-            lambda n: _brute_Sbar(3, 2, -1, n),
+            _Streamed(lambda: _one(_s_sums(3, [(2, -1)], True))),
             0,
             "order-3 complementary path sum closed form",
         ),
         IdentityRecord(
             "theoremS3",
             lambda n: fib(n + 3) + (n - 1) * pow2(n),
-            lambda n: _brute_S(3, 2, -1, n),
+            _Streamed(lambda: _one(_s_sums(3, [(2, -1)]))),
             0,
             "order-3 diagonal path sum S_n(2,-1) closed form",
         ),
@@ -200,7 +275,7 @@ REGISTRY: dict[str, IdentityRecord] = {
             lambda p: tuple(
                 tm_closed(m, 2 * p) + tm_closed(m, 2 * p - 1) for m in _T_ORDERS
             ),
-            lambda p: tuple(_brute_T(m, 2 * p + 1) for m in _T_ORDERS),
+            _Streamed(lambda: islice(_t_sums(_T_ORDERS), 1, None, 2)),
             1,
             "odd-index T recurrence, orders 2..6",
         ),
@@ -209,35 +284,35 @@ REGISTRY: dict[str, IdentityRecord] = {
             lambda p: tuple(
                 tm_closed(m, 2 * p - 1) + tm_closed(m - 1, 2 * p) for m in _T_ORDERS
             ),
-            lambda p: tuple(_brute_T(m, 2 * p) for m in _T_ORDERS),
+            _Streamed(lambda: islice(_t_sums(_T_ORDERS), 0, None, 2)),
             1,
             "even-index T recurrence dropping one order, orders 2..6",
         ),
         IdentityRecord(
             "resT3",
             lambda n: qr_closed(_PRINTED_QR[3], n),
-            lambda n: _brute_T(3, n),
+            _Streamed(lambda: _one(_t_sums([3]))),
             0,
             "order-3 T path sum closed form with rational halves",
         ),
         IdentityRecord(
             "T4closed",
             lambda n: qr_closed(_PRINTED_QR[4], n),
-            lambda n: _brute_T(4, n),
+            _Streamed(lambda: _one(_t_sums([4]))),
             0,
             "order-4 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "T5closed",
             lambda n: qr_closed(_PRINTED_QR[5], n),
-            lambda n: _brute_T(5, n),
+            _Streamed(lambda: _one(_t_sums([5]))),
             0,
             "order-5 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "theoremTm",
             lambda n: tuple(tm_closed(m, n) for m in _TM_ORDERS),
-            lambda n: tuple(_brute_T(m, n) for m in _TM_ORDERS),
+            _Streamed(lambda: _t_sums(_TM_ORDERS)),
             0,
             "derived polynomial closed form for T path sums, orders 1..10",
         ),

@@ -24,7 +24,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from .exactnum import Rational
 from .fibonacci import fib
@@ -108,11 +109,28 @@ class QRPair:
     Q: RatPolynomial
     R: RatPolynomial
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        # (D, D*Q, D*R) with D the least common denominator of Q and R.
+        d = lcm(*(c.denominator for c in self.Q.coeffs + self.R.coeffs))
+        return (
+            d,
+            tuple(c.numerator * (d // c.denominator) for c in self.Q.coeffs),
+            tuple(c.numerator * (d // c.denominator) for c in self.R.coeffs),
+        )
+
 
 def poly_eval(P: RatPolynomial, x: int) -> Fraction:
     """Evaluate P at x by Horner's rule, exactly."""
     acc = Fraction(0)
     for c in reversed(P.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -176,21 +194,25 @@ def derive_QR(m: int) -> QRPair:
 def qr_closed(pair: QRPair, n: int) -> int:
     """F_{n+2m-1} - 2^p (Q(p) + (-1)^n R(p)) at n >= 0, for the pair's m, Q, R.
 
-    Exact; the value is asserted integral before conversion, so a wrong
-    polynomial cannot round its way to a wrong integer.
+    Q(p) + (-1)^n R(p) is evaluated in integers over the pair's least
+    common denominator D, and 2^p times it is divided by D exactly: a
+    nonzero remainder raises, so a wrong polynomial cannot round its way
+    to a wrong integer.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = (n + 1) // 2
     sign = -1 if n % 2 else 1
-    value = fib(n + 2 * pair.m - 1) - (1 << p) * (
-        poly_eval(pair.Q, p) + sign * poly_eval(pair.R, p)
-    )
-    if value.denominator != 1:
+    d, q, r = pair._integer_form
+    shifted = (_horner(q, p) + sign * _horner(r, p)) << p
+    quotient, remainder = divmod(shifted, d)
+    head = fib(n + 2 * pair.m - 1)
+    if remainder:
         raise ArithmeticError(
-            f"closed form produced non-integer {value} at m={pair.m}, n={n}"
+            f"closed form produced non-integer {head - Fraction(shifted, d)} "
+            f"at m={pair.m}, n={n}"
         )
-    return int(value)
+    return head - quotient
 
 
 def tm_closed(m: int, n: int) -> int:

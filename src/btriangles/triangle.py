@@ -4,18 +4,20 @@ Order 1 is Pascal's triangle.  Order m is the prefix sum of order m - 1:
 entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1.
 Each order is built on its own: interior cells follow the Pascal rule
 cell(n, k) = cell(n-1, k) + cell(n-1, k-1) and the diagonal has a
-closed form, so no row reads a lower order.  The prefix-sum definition
-survives only as the independent brute-force oracle.
+closed form, so no row reads a lower order.
+
+The prefix-sum definition survives only as the independent brute-force
+oracle: :func:`bruteforce_rows` builds row n of orders 1..m from the
+binomials C(n, q) alone, with no cache and no step from row n - 1, and
+:func:`cell_bruteforce` reads one cell of it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
-from math import comb
 from operator import add
 
-__all__ = ["TriangleStore", "cell_bruteforce"]
+__all__ = ["TriangleStore", "bruteforce_rows", "cell_bruteforce"]
 
 
 class TriangleStore:
@@ -54,28 +56,44 @@ class TriangleStore:
 
 
 def _diagonal(m: int, n: int) -> int:
-    # cell(m, n, n), the row sum of order m - 1, in O(m) terms by Vandermonde's
-    # identity and sum_j C(n, j) C(j, i) = C(n, i) 2^(n-i) (Concrete Math. 5.1).
+    # cell(m, n, n), the row sum of order m - 1, as sum_i C(n, i) C(m-2, i) 2^(n-i)
+    # by Vandermonde's identity and sum_j C(n, j) C(j, i) = C(n, i) 2^(n-i)
+    # (Concrete Math. 5.1).  Each term is the last one times
+    # (n - i)(m - 2 - i) / (2 (i + 1)^2), an exact division.
     if m == 1:
         return 1
-    return sum(comb(n, i) * comb(m - 2, i) << n - i for i in range(min(n, m - 2) + 1))
+    term = total = 1 << n
+    for i in range(min(n, m - 2)):
+        term = term * ((n - i) * (m - 2 - i)) // (2 * (i + 1) ** 2)
+        total += term
+    return total
 
 
-@lru_cache(maxsize=None)
-def _bruteforce_row(m: int, n: int) -> tuple[int, ...]:
-    # Order 1 is the binomial row; order m is the prefix sum of order
-    # m - 1.  No Pascal recurrence anywhere, so this is a genuinely
-    # independent route.
-    if m == 1:
-        return tuple(comb(n, q) for q in range(n + 1))
-    return tuple(accumulate(_bruteforce_row(m - 1, n)))
+def bruteforce_rows(m: int, n: int) -> list[list[int]]:
+    """Row n of the orders 1..m, by binomials and prefix sums alone.
+
+    Order 1 is C(n, 0..n) by the multiplicative update
+    C(n, q+1) = C(n, q)(n - q)/(q + 1) up to the middle, mirrored by
+    C(n, q) = C(n, n - q); order j is the prefix sum of order j - 1.
+    Each call builds its row fresh, so nothing steps across rows: this is
+    the oracle route, independent of the Pascal rule :class:`TriangleStore`
+    uses.
+    """
+    half = [1]
+    for q in range(n // 2):
+        half.append(half[-1] * (n - q) // (q + 1))
+    rows = [half + half[: (n + 1) // 2][::-1]]
+    for _ in range(m - 1):
+        rows.append(list(accumulate(rows[-1])))
+    return rows
 
 
 def cell_bruteforce(m: int, n: int, k: int) -> int:
     """Entry (n, k) of the order-m triangle by direct nested summation.
 
-    Oracle counterpart of :meth:`TriangleStore.cell`; rejects columns
-    outside 0..n instead of returning 0.
+    Oracle counterpart of :meth:`TriangleStore.cell`, read from one
+    :func:`bruteforce_rows` row; rejects columns outside 0..n instead of
+    returning 0.
     """
     if m < 1:
         raise ValueError(f"triangle order must be >= 1, got {m}")
@@ -83,4 +101,4 @@ def cell_bruteforce(m: int, n: int, k: int) -> int:
         raise ValueError(f"row index must be >= 0, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"column {k} out of range for row {n}")
-    return _bruteforce_row(m, n)[k]
+    return bruteforce_rows(m, n)[m - 1][k]

@@ -5,6 +5,9 @@ from btriangles.cli import (
     _DERIVE_ORDER_MAX,
     _LAMBDA_TERMS_MAX,
     _PATHSUM_N_MAX,
+    _PATHSUM_ORDER_MAX,
+    _SEQUENCE_TERMS_MAX,
+    _VERIFY_N_MAX,
     main,
     run,
 )
@@ -92,6 +95,27 @@ def test_pathsum_help_states_n_limit():
     assert f"x<={_PATHSUM_N_MAX}" in result.output
 
 
+def test_pathsum_order_above_limit_is_usage_error(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("path sum computed for a rejected request")
+
+    for family in ("S", "Sbar", "T"):
+        monkeypatch.setitem(cli._FAMILY_SUM, family, no_work)
+    monkeypatch.setattr(cli, "trace", no_work)
+    result = invoke(
+        "pathsum", "--order", str(_PATHSUM_ORDER_MAX + 1), "--family", "T",
+        "--c", "-1", "--l", "-1", "--n", "3", "--trace",
+    )
+    assert result.exit_code == 2
+    assert f"x<={_PATHSUM_ORDER_MAX}" in result.output
+
+
+def test_pathsum_help_states_order_limit():
+    result = invoke("pathsum", "--help")
+    assert result.exit_code == 0
+    assert f"x<={_PATHSUM_ORDER_MAX}" in result.output
+
+
 def test_pathsum_rejects_inadmissible_step():
     result = invoke(
         "pathsum", "--order", "2", "--family", "S", "--c", "-1", "--l", "-1",
@@ -171,6 +195,23 @@ def test_verify_failure_exits_one(monkeypatch):
     assert "bogus FAIL at n=2: closed=0 oracle=1" in result.output
 
 
+def test_verify_n_max_above_limit_is_usage_error(monkeypatch):
+    def no_work(name, n_max):
+        raise AssertionError("sweep run for a rejected request")
+
+    monkeypatch.setattr(cli.identities, "verify", no_work)
+    for args in (("--all",), ("--identity", "theorem1")):
+        result = invoke("verify", *args, "--n-max", str(_VERIFY_N_MAX + 1))
+        assert result.exit_code == 2
+        assert f"x<={_VERIFY_N_MAX}" in result.output
+
+
+def test_verify_help_states_n_max_limit():
+    result = invoke("verify", "--help")
+    assert result.exit_code == 0
+    assert f"x<={_VERIFY_N_MAX}" in result.output
+
+
 def test_derive_poly_printout():
     result = invoke("derive-poly", "--order", "4")
     assert result.exit_code == 0
@@ -211,6 +252,35 @@ def test_sequence_exports_bfile(tmp_path):
     assert result.exit_code == 0
     assert result.output == ""
     assert path.read_text() == "0 0\n1 1\n2 1\n"
+
+
+def test_sequence_terms_above_limit_is_usage_error(monkeypatch, tmp_path):
+    def no_work(*args):
+        raise AssertionError("terms computed for a rejected request")
+
+    monkeypatch.setattr(cli.oeis, "terms", no_work)
+    monkeypatch.setattr(cli.oeis, "export_bfile", no_work)
+    path = tmp_path / "out.txt"
+    over = str(_SEQUENCE_TERMS_MAX + 1)
+    for extra in ((), ("--bfile", str(path))):
+        result = invoke("sequence", "--id", "A000045", "--terms", over, *extra)
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert f"x<={_SEQUENCE_TERMS_MAX}" in result.output
+    assert not path.exists()
+
+
+def test_sequence_help_states_terms_limit():
+    result = invoke("sequence", "--help")
+    assert result.exit_code == 0
+    assert f"1<=x<={_SEQUENCE_TERMS_MAX}" in result.output
+
+
+def test_sequence_terms_limit_values_are_printable():
+    # Term j of any binding reads index n <= j + 1, where every construction is
+    # below (n + 2) 2^n: the path sums are at most 2 cell(3, n, n) = (n + 2) 2^n,
+    # lambda_n(c) <= F_n and the triangle rows stay far smaller.
+    str((_SEQUENCE_TERMS_MAX + 3) << (_SEQUENCE_TERMS_MAX + 1))
 
 
 def test_sequence_unknown_id():

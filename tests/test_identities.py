@@ -1,3 +1,8 @@
+import tracemalloc
+from itertools import islice
+
+from hypothesis import given
+from hypothesis import strategies as st
 import pytest
 
 from btriangles import identities
@@ -10,6 +15,8 @@ from btriangles.identities import (
     sbar41,
     verify,
 )
+from btriangles.paths import path_sums
+from btriangles.triangle import cell_bruteforce
 
 EXPECTED_NAMES = {
     "theorem1",
@@ -48,11 +55,26 @@ def test_every_identity_verifies(name):
     assert report.elapsed >= 0
 
 
+_ORACLE_HELPERS = (
+    "bruteforce_rows",
+    "_rows",
+    "_feed",
+    "_t_sums",
+    "_s_sums",
+    "_one",
+    "_minus_twice_previous",
+    "_cell_minus_twice_upper_left",
+)
+
+
 def test_closed_sides_never_reach_the_oracle(monkeypatch):
     def oracle(*args):
         raise AssertionError("closed side called oracle code")
 
-    for name in ("cell_bruteforce", "_brute_S", "_brute_Sbar", "_brute_T"):
+    # Past valid_from, so that the check at the end restarts every stream.
+    for rec in REGISTRY.values():
+        rec.oracle(rec.valid_from + 1)
+    for name in _ORACLE_HELPERS:
         monkeypatch.setattr(identities, name, oracle)
     reached = []
     for name, rec in REGISTRY.items():
@@ -62,6 +84,85 @@ def test_closed_sides_never_reach_the_oracle(monkeypatch):
         except AssertionError:
             reached.append(name)
     assert reached == []
+    # The patched names are the oracle route: a restarted oracle hits them.
+    for rec in REGISTRY.values():
+        with pytest.raises(AssertionError):
+            rec.oracle(rec.valid_from)
+
+
+def _t_walk(m, n):
+    return sum(cell_bruteforce(m, n - k, k) for k in range(n // 2 + 1))
+
+
+def _s_walk(m, c, l, n):
+    return sum(cell_bruteforce(m, n + k * l, n - k * c) for k in range(n // c + 1))
+
+
+@st.composite
+def _stream_cases(draw):
+    # Several paths through one stream, as the registry's tuple records read them.
+    kind = draw(st.sampled_from(("T", "S2", "S3")))
+    if kind == "T":
+        orders = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True))
+        paths = [(m, -1, -1, "T") for m in orders]
+    elif kind == "S2":
+        drops = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4, unique=True))
+        paths = [(2, c, 1 - c, "S") for c in drops]
+    else:
+        paths = [(3, 2, -1, draw(st.sampled_from(("S", "Sbar"))))]
+    N = draw(st.integers(0, 120))
+    return paths, N, draw(st.integers(0, N))
+
+
+def _stream(paths):
+    m, _, _, family = paths[0]
+    if family == "T":
+        return identities._t_sums([p[0] for p in paths])
+    return identities._s_sums(m, [(c, l) for _, c, l, _ in paths], family == "Sbar")
+
+
+@given(_stream_cases())
+def test_oracle_streams_match_path_sums_and_walks(case):
+    paths, N, n = case
+    values = list(islice(_stream(paths), N + 1))
+    for i, (m, c, l, family) in enumerate(paths):
+        column = [value[i] for value in values]
+        assert column == path_sums(m, c, l, family, N), (m, c, l, family)
+        if family == "T":
+            walk = _t_walk(m, n)
+        else:
+            walk = _s_walk(m, c, l, n)
+            if family == "Sbar":
+                walk = 2 * cell_bruteforce(m, n, n) - walk
+        assert column[n] == walk, (m, c, l, family, n)
+
+
+@given(st.sampled_from(sorted(EXPECTED_NAMES)), st.data())
+def test_oracle_calls_in_any_order_match_a_fresh_sweep(name, data):
+    rec = REGISTRY[name]
+    fresh = identities._Streamed(rec.oracle._start)
+    expected = {n: fresh(n) for n in range(rec.valid_from, 41)}
+    calls = data.draw(st.lists(st.integers(rec.valid_from, 40), max_size=20))
+    for n in calls:
+        assert rec.oracle(n) == expected[n], n
+        assert rec.oracle(n) == expected[n], n
+
+
+def test_oracle_rejects_negative_index():
+    with pytest.raises(ValueError):
+        REGISTRY["theorem1"].oracle(-1)
+
+
+def test_oracle_sweep_memory_is_flat():
+    # The cached per-cell oracle kept every row of orders 1..6 up to n = 400.
+    tracemalloc.start()
+    try:
+        report = verify("TmEven", 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 3 * 2**20
 
 
 def test_unknown_name_raises():

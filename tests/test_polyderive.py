@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import pytest
 
 from btriangles.fibonacci import fib
+from btriangles.identities import _PRINTED_QR
 from btriangles.paths import sum_T
 from btriangles.polyderive import (
     QRPair,
@@ -129,6 +130,40 @@ def test_tm_closed_matches_path_sum():
 def test_tm_closed_rejects_negative_index():
     with pytest.raises(ValueError):
         tm_closed(2, -1)
+
+
+def _fraction_qr(pair, n):
+    # The evaluator's former route: Fraction Horner's rule on Q and R.
+    p = (n + 1) // 2
+    sign = -1 if n % 2 else 1
+    return fib(n + 2 * pair.m - 1) - (1 << p) * (
+        poly_eval(pair.Q, p) + sign * poly_eval(pair.R, p)
+    )
+
+
+@given(st.integers(1, 30), st.integers(0, 400))
+def test_qr_closed_matches_fraction_evaluation(m, n):
+    for pair in (derive_QR(m), *_PRINTED_QR.values()):
+        assert qr_closed(pair, n) == _fraction_qr(pair, n), (pair.m, n)
+
+
+_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=16)
+
+
+@given(
+    st.lists(_RATIONALS, max_size=4),
+    st.lists(_RATIONALS, max_size=3),
+    st.integers(1, 6),
+    st.integers(0, 60),
+)
+def test_qr_closed_raises_exactly_on_non_integer_values(q, r, m, n):
+    pair = QRPair(m, RatPolynomial(tuple(q)), RatPolynomial(tuple(r)))
+    value = _fraction_qr(pair, n)
+    if value.denominator == 1:
+        assert qr_closed(pair, n) == value
+    else:
+        with pytest.raises(ArithmeticError):
+            qr_closed(pair, n)
 
 
 def test_qr_closed_rejects_non_integer_value():
