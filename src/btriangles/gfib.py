@@ -16,8 +16,6 @@ Inverting the difference by telescoping rebuilds the path sum itself.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .exactnum import binomial
 from .fibonacci import telescope
 from .paths import path_sums
@@ -55,7 +53,6 @@ def lambda_rec(c: int, n: int) -> int:
     return lambda_values(c, n)[n]
 
 
-@lru_cache(maxsize=None)
 def lambda_explicit(c: int, n: int) -> int:
     """lambda_n(c) as the binomial sum over i of C(n - c + i*(1 - c), i).
 

@@ -7,14 +7,22 @@ an oracle that recomputes the same quantity by direct binomial summation
 over the triangle on the other.  Closed sides never call oracle code,
 so agreement over a sweep is genuine evidence.
 
-Each oracle is a forward stream: one pass over the rows of
-:func:`~btriangles.triangle.bruteforce_rows` (binomials by the
-multiplicative update, then prefix sums) scatters every cell into the
-pending sums of the paths through it and yields the record's value for
-n = 0, 1, 2, ...  No row is cached: a sweep to n holds O(n) numbers per order.
-The record's ``oracle(n)`` stays per-n: it holds the stream and the
-index of its last value, advances for a later n, repeats the held value
-for the same n and restarts the stream from 0 for an earlier n.
+Each oracle is a forward stream that yields the record's value for
+n = 0, 1, 2, ... from binomials by the multiplicative update
+C(r, k+1) = C(r, k)(r - k)/(k + 1) and prefix sums, never the Pascal
+rule.  S paths take one pass over the rows of
+:func:`~btriangles.triangle.bruteforce_rows`, which scatters every cell
+into the pending sums of the paths through it.  T paths read only the
+cells (n - k, k) with k <= n/2, so their stream holds anti-diagonal n
+and moves each of its cells one column along its own row to reach
+anti-diagonal n + 1.  No row is cached: a sweep to n holds O(n) numbers
+per order.  The record's ``oracle(n)`` stays per-n through
+:class:`_Streamed`: it holds the stream and the index of its last value,
+advances for a later n, repeats the held value for the same n and
+restarts the stream from 0 for an earlier n.  The same adapter serves
+the ``corollary1`` closed side, a forward recurrence over n; the
+``relB2diff`` closed side reads the Pascal-rule rows of a
+:class:`~btriangles.triangle.TriangleStore` cursor.
 
 :func:`verify` sweeps one record over an index range and reports every
 mismatch.  Multi-parameter families (a range of orders m or drops c)
@@ -29,14 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import count, islice
-from operator import add
+from operator import add, floordiv, mul
 
-from .exactnum import binomial, pow2
-from .fibonacci import fib, telescope
+from .exactnum import pow2
+from .fibonacci import fib
 from .gfib import lambda_explicit
 from .paths import path_sums, sum_Sbar
 from .polyderive import QRPair, RatPolynomial, qr_closed, tm_closed
-from .triangle import bruteforce_rows
+from .triangle import TriangleStore, bruteforce_rows
 
 __all__ = [
     "IdentityRecord",
@@ -83,11 +91,12 @@ class VerifyReport:
         return f"{self.name} FAIL at n={n}: closed={closed} oracle={oracle}"
 
 
-# The oracle streams.  They read rows only through bruteforce_rows, never
-# the Pascal-rule rows the closed-form side of the package is built on,
-# and share no code with paths.path_sums.  One pass over rows 0, 1, 2, ...
-# serves every path a record reads; sum n is complete once row n is fed,
-# since every path of index n stays in rows <= n.
+# The oracle streams.  They build cells from binomials and prefix sums
+# alone, never from the Pascal-rule rows the closed-form side of the
+# package is built on, and share no code with paths.path_sums.  Outside
+# the T streams, one pass over rows 0, 1, 2, ... serves every path a
+# record reads; sum n is complete once row n is fed, since every path of
+# index n stays in rows <= n.
 
 
 def _rows(m: int) -> Iterator[list[list[int]]]:
@@ -105,10 +114,20 @@ def _feed(pending: list[int], cells: list[int], step: int) -> int:
 
 
 def _t_sums(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # T along (-1, -1): cell (r, k) is step k of the path from (r + k, 0).
-    pending: list[list[int]] = [[] for _ in orders]
-    for rows in _rows(max(orders)):
-        yield tuple(_feed(p, rows[m - 1], 1) for p, m in zip(pending, orders))
+    # T along (-1, -1): T_n sums anti-diagonal n, the cells (n - k, k) for
+    # k <= n/2.  levels[j - 1][k] holds cell (n - k, k) of order j.  From n
+    # to n + 1 each cell moves one column along its own row r = n - k:
+    # order 1 by C(r, k+1) = C(r, k)(r - k)/(k + 1), order j by adding
+    # order j - 1 at the new cell (the prefix-sum definition).  Row n + 1
+    # enters at column 0; range(n, 0, -2) runs out before k = n/2, whose
+    # row ends at that column, so the row leaves.
+    levels = [[1] for _ in range(max(orders))]
+    for n in count():
+        yield tuple(sum(levels[m - 1]) for m in orders)
+        below = [1, *map(floordiv, map(mul, levels[0], range(n, 0, -2)), count(1))]
+        levels[0] = below
+        for j in range(1, len(levels)):
+            levels[j] = below = [1, *map(add, levels[j], below[1:])]
 
 
 def _s_sums(
@@ -144,7 +163,7 @@ def _cell_minus_twice_upper_left(m: int) -> Iterator[tuple[int, ...]]:
 
 
 class _Streamed:
-    """Per-n view of a forward oracle stream.
+    """Per-n view of a forward stream: an oracle, or the corollary1 closed side.
 
     Holds the running stream and the index and value of its last output.
     A call at or past that index advances the stream; an earlier index
@@ -183,16 +202,27 @@ _PRINTED_QR = {
 }
 
 
-def _corollary1_closed(n: int) -> tuple[int, ...]:
-    return tuple(
-        telescope(1, [lambda_explicit(c, k) for k in range(1, n + 1)], n)
-        for c in _DROPS
-    )
-
-
 _DROPS = range(2, 9)
 _T_ORDERS = range(2, 7)
 _TM_ORDERS = range(1, 11)
+
+
+def _corollary1_closed() -> Iterator[tuple[int, ...]]:
+    # S2_n(c, 1 - c) rebuilt from its defining difference lambda_n(c):
+    # u_0 = 1 and u_n = 2 u_(n-1) + lambda_n(c), one lambda per (c, n).
+    sums = (1,) * len(_DROPS)
+    for n in count(1):
+        yield sums
+        sums = tuple(2 * u + lambda_explicit(c, n) for u, c in zip(sums, _DROPS))
+
+
+# Closed sides may use the Pascal rule; the oracles never do.
+_PASCAL = TriangleStore()
+
+
+def _relB2diff_closed(n: int) -> tuple[int, ...]:
+    # C(n - 1, q) for q in 1..n: row n - 1 of Pascal's triangle from column 1.
+    return (*_PASCAL.row(1, n - 1)[1:], 0)
 
 
 REGISTRY: dict[str, IdentityRecord] = {
@@ -214,14 +244,14 @@ REGISTRY: dict[str, IdentityRecord] = {
         ),
         IdentityRecord(
             "relB2diff",
-            lambda n: tuple(binomial(n - 1, q) for q in range(1, n + 1)),
+            _relB2diff_closed,
             _Streamed(lambda: _cell_minus_twice_upper_left(2)),
             1,
             "cell minus twice its upper-left neighbour is binomial",
         ),
         IdentityRecord(
             "corollary1",
-            _corollary1_closed,
+            _Streamed(_corollary1_closed),
             _Streamed(lambda: _s_sums(2, [(c, 1 - c) for c in _DROPS])),
             0,
             "path-sum reconstruction from the explicit lambda expansion, c in [2,8]",

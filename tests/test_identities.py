@@ -1,11 +1,14 @@
 import tracemalloc
-from itertools import islice
+from itertools import count, islice
 
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
 from btriangles import identities
+from btriangles.exactnum import binomial
+from btriangles.fibonacci import telescope
+from btriangles.gfib import lambda_explicit
 from btriangles.identities import (
     REGISTRY,
     IdentityRecord,
@@ -16,7 +19,7 @@ from btriangles.identities import (
     verify,
 )
 from btriangles.paths import path_sums
-from btriangles.triangle import cell_bruteforce
+from btriangles.triangle import bruteforce_rows, cell_bruteforce
 
 EXPECTED_NAMES = {
     "theorem1",
@@ -135,6 +138,51 @@ def test_oracle_streams_match_path_sums_and_walks(case):
             if family == "Sbar":
                 walk = 2 * cell_bruteforce(m, n, n) - walk
         assert column[n] == walk, (m, c, l, family, n)
+
+
+def _row_by_row_t_sums(orders):
+    # The route the anti-diagonal stream replaced: whole rows 0, 1, 2, ...,
+    # each cell (r, k) added to the pending sum of index r + k.
+    pending = [[] for _ in orders]
+    for r in count():
+        rows = bruteforce_rows(max(orders), r)
+        out = []
+        for sums, m in zip(pending, orders):
+            sums.extend([0] * (r + 1 - len(sums)))
+            for k, cell in enumerate(rows[m - 1]):
+                sums[k] += cell
+            out.append(sums.pop(0))
+        yield tuple(out)
+
+
+@given(
+    st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True),
+    st.integers(0, 150),
+)
+def test_t_stream_by_anti_diagonals_matches_row_by_row(orders, N):
+    assert list(islice(identities._t_sums(orders), N + 1)) == list(
+        islice(_row_by_row_t_sums(orders), N + 1)
+    )
+
+
+# The per-n closed sides that the streamed and Pascal-rule ones replaced.
+_PER_N_CLOSED = {
+    "corollary1": lambda n: tuple(
+        telescope(1, [lambda_explicit(c, k) for k in range(1, n + 1)], n)
+        for c in range(2, 9)
+    ),
+    "relB2diff": lambda n: tuple(binomial(n - 1, q) for q in range(1, n + 1)),
+}
+
+
+@given(st.sampled_from(sorted(_PER_N_CLOSED)), st.data())
+def test_closed_sides_in_any_order_match_the_per_n_routes(name, data):
+    rec = REGISTRY[name]
+    calls = data.draw(st.lists(st.integers(rec.valid_from, 60), max_size=20))
+    for n in calls:
+        expected = _PER_N_CLOSED[name](n)
+        assert rec.closed_form(n) == expected, n
+        assert rec.closed_form(n) == expected, n
 
 
 @given(st.sampled_from(sorted(EXPECTED_NAMES)), st.data())
