@@ -8,6 +8,7 @@ oracles and published integer sequences.  All arithmetic is exact:
 plain int plus fractions.Fraction, never floats.
 """
 
+from .bruteforce import cell_bruteforce
 from .exactnum import Natural, Rational, binomial, pow2
 from .fibonacci import fib, fib_diag, telescope
 from .gfib import lambda_diff, lambda_explicit, lambda_rec, s2_reconstruct
@@ -50,7 +51,7 @@ from .polyderive import (
     poly_eval,
     tm_closed,
 )
-from .triangle import TriangleStore, cell_bruteforce
+from .triangle import TriangleStore
 
 __all__ = [
     "Natural",

@@ -21,6 +21,11 @@ from .triangle import TriangleStore
 
 _FAMILY_SUM = {"S": sum_S, "Sbar": sum_Sbar, "T": sum_T}
 
+# Measured: triangle --order 1200 --rows 1000 prints in 3.2 s and --rows 2000 in
+# 27 s (CPython 3.11, 2 vCPUs); the cost grows about 8x per doubling of rows.
+# The largest entry printed, cell(1200, 1000, 1000), has 808 digits.
+_TRIANGLE_ORDER_MAX = 1200
+_TRIANGLE_ROWS_MAX = 1000
 # Measured: an order-2 or order-3 path sum takes 1.7-2.6 s at n = 4000 and
 # 6.6-9.2 s at n = 6000 (CPython 3.11, 2 vCPUs); the cost grows as n^2 or faster.
 _PATHSUM_N_MAX = 4000
@@ -31,8 +36,8 @@ _PATHSUM_ORDER_MAX = 1200
 _LAMBDA_TERMS_MAX = 20000
 # Measured: derive-poly takes 2.5 s at order 300 and 5.9 s at order 400.
 _DERIVE_ORDER_MAX = 300
-# Measured: verify --all takes 24.7 s at n-max 1000 (50 MB peak RSS) and
-# 228 s at 2000 (132 MB); the cost grows as n^3.
+# Measured: verify --all takes 11-16 s at n-max 1000 (30 MB peak RSS) and
+# 94-103 s at 2000 (58 MB); the cost grows as n^3.
 _VERIFY_N_MAX = 1000
 # Measured: the path-sum bindings take 1.8-2.3 s for 4000 terms, one pass over
 # rows 0..4000 as in pathsum --n 4000; every such term prints under CPython's
@@ -46,13 +51,21 @@ def main() -> None:
 
 
 @main.command("triangle")
-@click.option("--order", type=int, required=True, help="triangle order, >= 1")
-@click.option("--rows", type=int, required=True, help="last row index to print")
+@click.option(
+    "--order",
+    type=click.IntRange(1, _TRIANGLE_ORDER_MAX),
+    required=True,
+    help="triangle order",
+)
+@click.option(
+    "--rows",
+    type=click.IntRange(0, _TRIANGLE_ROWS_MAX),
+    required=True,
+    help="last row index to print",
+)
 @click.option("--tsv", is_flag=True, help="tab-separated row dump: n=<row>, entries")
 def triangle_cmd(order: int, rows: int, tsv: bool) -> None:
     """Print rows 0..ROWS of the order-ORDER triangle."""
-    if order < 1 or rows < 0:
-        raise click.UsageError("need --order >= 1 and --rows >= 0")
     store = TriangleStore()
     for n in range(rows + 1):
         row = store.row(order, n)
@@ -183,7 +196,13 @@ def sequence_cmd(oeis_id: str, count: int, bfile: str | None) -> None:
 @main.command("oeis-check")
 @click.option("--id", "oeis_id", type=str, default=None, help="one OEIS id")
 @click.option("--all", "run_all", is_flag=True, help="every binding")
-@click.option("--terms", "count", type=int, required=True, help="terms to check")
+@click.option(
+    "--terms",
+    "count",
+    type=click.IntRange(min=1),
+    required=True,
+    help="terms to check",
+)
 @click.option(
     "--online",
     is_flag=True,
@@ -200,8 +219,6 @@ def oeis_check_cmd(
     """Cross-check bound sequences against b-files."""
     if run_all == (oeis_id is not None):
         raise click.UsageError("pass exactly one of --id AXXXXXX or --all")
-    if count < 1:
-        raise click.UsageError("need --terms >= 1")
     ids = sorted(oeis.BINDINGS) if run_all else [oeis_id]
     reports = []
     for seq in ids:

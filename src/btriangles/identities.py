@@ -4,25 +4,18 @@ Every record names one verifiable statement about the triangles: a
 closed form built from Fibonacci numbers, powers of two, binomial
 coefficients and the derived and printed polynomials on one side, and
 an oracle that recomputes the same quantity by direct binomial summation
-over the triangle on the other.  Closed sides never call oracle code,
-so agreement over a sweep is genuine evidence.
+over the triangle on the other.  Every oracle is a forward stream of
+:mod:`btriangles.bruteforce`, reached only through that module, and
+closed sides never call it, so agreement over a sweep is genuine
+evidence.
 
-Each oracle is a forward stream that yields the record's value for
-n = 0, 1, 2, ... from binomials by the multiplicative update
-C(r, k+1) = C(r, k)(r - k)/(k + 1) and prefix sums, never the Pascal
-rule.  S paths take one pass over the rows of
-:func:`~btriangles.triangle.bruteforce_rows`, which scatters every cell
-into the pending sums of the paths through it.  T paths read only the
-cells (n - k, k) with k <= n/2, so their stream holds anti-diagonal n
-and moves each of its cells one column along its own row to reach
-anti-diagonal n + 1.  No row is cached: a sweep to n holds O(n) numbers
-per order.  The record's ``oracle(n)`` stays per-n through
-:class:`_Streamed`: it holds the stream and the index of its last value,
-advances for a later n, repeats the held value for the same n and
-restarts the stream from 0 for an earlier n.  The same adapter serves
-the ``corollary1`` closed side, a forward recurrence over n; the
-``relB2diff`` closed side reads the Pascal-rule rows of a
-:class:`~btriangles.triangle.TriangleStore` cursor.
+The record's ``oracle(n)`` stays per-n through :class:`_Streamed`: it
+holds the stream and the index of its last value, advances for a later
+n, repeats the held value for the same n and restarts the stream from 0
+for an earlier n.  The same adapter serves the ``corollary1`` closed
+side, a forward recurrence over n; the ``relB2diff`` closed side reads
+the Pascal-rule rows of a :class:`~btriangles.triangle.TriangleStore`
+cursor.
 
 :func:`verify` sweeps one record over an index range and reports every
 mismatch.  Multi-parameter families (a range of orders m or drops c)
@@ -32,19 +25,18 @@ are single records whose sides return tuples, compared elementwise.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import count, islice
-from operator import add, floordiv, mul
 
+from . import bruteforce
 from .exactnum import pow2
 from .fibonacci import fib
 from .gfib import lambda_explicit
 from .paths import path_sums, sum_Sbar
 from .polyderive import QRPair, RatPolynomial, qr_closed, tm_closed
-from .triangle import TriangleStore, bruteforce_rows
+from .triangle import TriangleStore
 
 __all__ = [
     "IdentityRecord",
@@ -89,77 +81,6 @@ class VerifyReport:
             return f"{self.name} n=[{self.start}..{self.stop}] OK"
         n, closed, oracle = self.failures[0]
         return f"{self.name} FAIL at n={n}: closed={closed} oracle={oracle}"
-
-
-# The oracle streams.  They build cells from binomials and prefix sums
-# alone, never from the Pascal-rule rows the closed-form side of the
-# package is built on, and share no code with paths.path_sums.  Outside
-# the T streams, one pass over rows 0, 1, 2, ... serves every path a
-# record reads; sum n is complete once row n is fed, since every path of
-# index n stays in rows <= n.
-
-
-def _rows(m: int) -> Iterator[list[list[int]]]:
-    return map(partial(bruteforce_rows, m), count())
-
-
-def _feed(pending: list[int], cells: list[int], step: int) -> int:
-    # pending[j] is the partial sum of index r + j while row r is fed;
-    # cells[k] belongs to index r + k*step.  Returns the now complete
-    # sum of index r and shifts pending to start at r + 1.
-    reach = (len(cells) - 1) * step + 1
-    pending.extend([0] * (reach - len(pending)))
-    pending[:reach:step] = map(add, pending[:reach:step], cells)
-    return pending.pop(0)
-
-
-def _t_sums(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # T along (-1, -1): T_n sums anti-diagonal n, the cells (n - k, k) for
-    # k <= n/2.  levels[j - 1][k] holds cell (n - k, k) of order j.  From n
-    # to n + 1 each cell moves one column along its own row r = n - k:
-    # order 1 by C(r, k+1) = C(r, k)(r - k)/(k + 1), order j by adding
-    # order j - 1 at the new cell (the prefix-sum definition).  Row n + 1
-    # enters at column 0; range(n, 0, -2) runs out before k = n/2, whose
-    # row ends at that column, so the row leaves.
-    levels = [[1] for _ in range(max(orders))]
-    for n in count():
-        yield tuple(sum(levels[m - 1]) for m in orders)
-        below = [1, *map(floordiv, map(mul, levels[0], range(n, 0, -2)), count(1))]
-        levels[0] = below
-        for j in range(1, len(levels)):
-            levels[j] = below = [1, *map(add, levels[j], below[1:])]
-
-
-def _s_sums(
-    m: int, steps: Sequence[tuple[int, int]], complement: bool = False
-) -> Iterator[tuple[int, ...]]:
-    # S along (c, l) with c + l >= 1: cell (r, r - k(c + l)) is step k of
-    # the path from (r + k|l|, r + k|l|).  The complement is 2*cell(n, n) - S.
-    pending: list[list[int]] = [[] for _ in steps]
-    for r, rows in enumerate(_rows(m)):
-        row = rows[m - 1]
-        sums = (_feed(p, row[r :: -(c + l)], -l) for p, (c, l) in zip(pending, steps))
-        yield tuple(2 * row[r] - s for s in sums) if complement else tuple(sums)
-
-
-def _one(stream: Iterator[tuple[int, ...]]) -> Iterator[int]:
-    return (only for (only,) in stream)
-
-
-def _minus_twice_previous(stream: Iterator[int]) -> Iterator[int]:
-    previous = 0
-    for value in stream:
-        yield value - 2 * previous
-        previous = value
-
-
-def _cell_minus_twice_upper_left(m: int) -> Iterator[tuple[int, ...]]:
-    # cell(n, q) - 2*cell(n-1, q-1) for q in 1..n.
-    previous: list[int] = []
-    for rows in _rows(m):
-        row = rows[m - 1]
-        yield tuple(a - 2 * b for a, b in zip(row[1:], previous))
-        previous = row
 
 
 class _Streamed:
@@ -231,49 +152,57 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "theorem1",
             lambda n: pow2(n + 1) - fib(n + 2),
-            _Streamed(lambda: _one(_s_sums(2, [(2, -1)]))),
+            _Streamed(lambda: bruteforce.one(bruteforce.s_sums(2, [(2, -1)]))),
             0,
             "order-2 diagonal path sum S_n(2,-1) = 2^(n+1) - F_(n+2)",
         ),
         IdentityRecord(
             "S2diff",
             lambda n: fib(n - 1),
-            _Streamed(lambda: _minus_twice_previous(_one(_s_sums(2, [(2, -1)])))),
+            _Streamed(
+                lambda: bruteforce.minus_twice_previous(
+                    bruteforce.one(bruteforce.s_sums(2, [(2, -1)]))
+                )
+            ),
             1,
             "difference of consecutive order-2 path sums is Fibonacci",
         ),
         IdentityRecord(
             "relB2diff",
             _relB2diff_closed,
-            _Streamed(lambda: _cell_minus_twice_upper_left(2)),
+            _Streamed(lambda: bruteforce.cell_minus_twice_upper_left(2)),
             1,
             "cell minus twice its upper-left neighbour is binomial",
         ),
         IdentityRecord(
             "corollary1",
             _Streamed(_corollary1_closed),
-            _Streamed(lambda: _s_sums(2, [(c, 1 - c) for c in _DROPS])),
+            _Streamed(lambda: bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS])),
             0,
             "path-sum reconstruction from the explicit lambda expansion, c in [2,8]",
         ),
         IdentityRecord(
             "T2even",
             lambda p: tm_closed(2, 2 * p - 1) + fib(2 * p + 1),
-            _Streamed(lambda: islice(_one(_t_sums([2])), 0, None, 2)),
+            _Streamed(
+                lambda: islice(bruteforce.one(bruteforce.t_sums([2])), 0, None, 2)
+            ),
             1,
             "even-index order-2 T recurrence with Fibonacci increment",
         ),
         IdentityRecord(
             "T2odd",
             lambda p: tm_closed(2, 2 * p) + tm_closed(2, 2 * p - 1),
-            _Streamed(lambda: islice(_one(_t_sums([2])), 1, None, 2)),
+            _Streamed(
+                lambda: islice(bruteforce.one(bruteforce.t_sums([2])), 1, None, 2)
+            ),
             1,
             "odd-index order-2 T recurrence",
         ),
         IdentityRecord(
             "resT2",
             lambda n: qr_closed(_PRINTED_QR[2], n),
-            _Streamed(lambda: _one(_t_sums([2]))),
+            _Streamed(lambda: bruteforce.one(bruteforce.t_sums([2]))),
             0,
             "order-2 T path sum closed form",
         ),
@@ -281,7 +210,9 @@ REGISTRY: dict[str, IdentityRecord] = {
             "rel8",
             lambda n: fib(n),
             _Streamed(
-                lambda: _minus_twice_previous(_one(_s_sums(3, [(2, -1)], True)))
+                lambda: bruteforce.minus_twice_previous(
+                    bruteforce.one(bruteforce.s_sums(3, [(2, -1)], True))
+                )
             ),
             1,
             "difference of consecutive order-3 complementary sums is Fibonacci",
@@ -289,14 +220,14 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "S3barClosed",
             lambda n: 3 * pow2(n) - fib(n + 3),
-            _Streamed(lambda: _one(_s_sums(3, [(2, -1)], True))),
+            _Streamed(lambda: bruteforce.one(bruteforce.s_sums(3, [(2, -1)], True))),
             0,
             "order-3 complementary path sum closed form",
         ),
         IdentityRecord(
             "theoremS3",
             lambda n: fib(n + 3) + (n - 1) * pow2(n),
-            _Streamed(lambda: _one(_s_sums(3, [(2, -1)]))),
+            _Streamed(lambda: bruteforce.one(bruteforce.s_sums(3, [(2, -1)]))),
             0,
             "order-3 diagonal path sum S_n(2,-1) closed form",
         ),
@@ -305,7 +236,7 @@ REGISTRY: dict[str, IdentityRecord] = {
             lambda p: tuple(
                 tm_closed(m, 2 * p) + tm_closed(m, 2 * p - 1) for m in _T_ORDERS
             ),
-            _Streamed(lambda: islice(_t_sums(_T_ORDERS), 1, None, 2)),
+            _Streamed(lambda: islice(bruteforce.t_sums(_T_ORDERS), 1, None, 2)),
             1,
             "odd-index T recurrence, orders 2..6",
         ),
@@ -314,35 +245,35 @@ REGISTRY: dict[str, IdentityRecord] = {
             lambda p: tuple(
                 tm_closed(m, 2 * p - 1) + tm_closed(m - 1, 2 * p) for m in _T_ORDERS
             ),
-            _Streamed(lambda: islice(_t_sums(_T_ORDERS), 0, None, 2)),
+            _Streamed(lambda: islice(bruteforce.t_sums(_T_ORDERS), 0, None, 2)),
             1,
             "even-index T recurrence dropping one order, orders 2..6",
         ),
         IdentityRecord(
             "resT3",
             lambda n: qr_closed(_PRINTED_QR[3], n),
-            _Streamed(lambda: _one(_t_sums([3]))),
+            _Streamed(lambda: bruteforce.one(bruteforce.t_sums([3]))),
             0,
             "order-3 T path sum closed form with rational halves",
         ),
         IdentityRecord(
             "T4closed",
             lambda n: qr_closed(_PRINTED_QR[4], n),
-            _Streamed(lambda: _one(_t_sums([4]))),
+            _Streamed(lambda: bruteforce.one(bruteforce.t_sums([4]))),
             0,
             "order-4 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "T5closed",
             lambda n: qr_closed(_PRINTED_QR[5], n),
-            _Streamed(lambda: _one(_t_sums([5]))),
+            _Streamed(lambda: bruteforce.one(bruteforce.t_sums([5]))),
             0,
             "order-5 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "theoremTm",
             lambda n: tuple(tm_closed(m, n) for m in _TM_ORDERS),
-            _Streamed(lambda: _t_sums(_TM_ORDERS)),
+            _Streamed(lambda: bruteforce.t_sums(_TM_ORDERS)),
             0,
             "derived polynomial closed form for T path sums, orders 1..10",
         ),

@@ -161,6 +161,8 @@ def fetch_bfile(oeis_id: str, cache_dir: str | os.PathLike | None = None) -> BFi
         raise BFileFetchError(
             f"cannot fetch {url} and no cached copy at {cached}: {exc}"
         ) from exc
+    # Parsed before caching, so a malformed response never reaches the cache.
+    bfile = parse_bfile(payload.decode("ascii"), url)
     directory.mkdir(parents=True, exist_ok=True)
     # Temp-then-rename so a concurrent reader never sees a partial file.
     fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".part")
@@ -171,7 +173,7 @@ def fetch_bfile(oeis_id: str, cache_dir: str | os.PathLike | None = None) -> BFi
     except BaseException:
         os.unlink(tmp_name)
         raise
-    return parse_bfile(payload.decode("ascii"), str(cached))
+    return bfile
 
 
 # Generators return the first ``count`` terms of their construction.

@@ -122,13 +122,10 @@ class QRPair:
 
 def poly_eval(P: RatPolynomial, x: int) -> Fraction:
     """Evaluate P at x by Horner's rule, exactly."""
-    acc = Fraction(0)
-    for c in reversed(P.coeffs):
-        acc = acc * x + c
-    return acc
+    return Fraction(_horner(P.coeffs, x))
 
 
-def _horner(coeffs: Sequence[int], x: int) -> int:
+def _horner(coeffs: Sequence[Rational], x: int) -> Rational:
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c

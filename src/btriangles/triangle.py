@@ -5,19 +5,13 @@ entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1.
 Each order is built on its own: interior cells follow the Pascal rule
 cell(n, k) = cell(n-1, k) + cell(n-1, k-1) and the diagonal has a
 closed form, so no row reads a lower order.
-
-The prefix-sum definition survives only as the independent brute-force
-oracle: :func:`bruteforce_rows` builds row n of orders 1..m from the
-binomials C(n, q) alone, with no cache and no step from row n - 1, and
-:func:`cell_bruteforce` reads one cell of it.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from operator import add
 
-__all__ = ["TriangleStore", "bruteforce_rows", "cell_bruteforce"]
+__all__ = ["TriangleStore"]
 
 
 class TriangleStore:
@@ -32,10 +26,7 @@ class TriangleStore:
 
     def row(self, m: int, n: int) -> tuple[int, ...]:
         """Row n of the order-m triangle: entries for columns 0..n."""
-        if m < 1:
-            raise ValueError(f"triangle order must be >= 1, got {m}")
-        if n < 0:
-            raise ValueError(f"row index must be >= 0, got {n}")
+        _check_row(m, n)
         held, row = self._cursor.get(m, (0, (1,)))
         if held > n:
             held, row = 0, (1,)
@@ -48,11 +39,20 @@ class TriangleStore:
         """Entry (n, k) of the order-m triangle.
 
         Columns outside 0..n read as 0 (vanishing convention);
-        addressability proper is the 0 <= k <= n condition.
+        addressability proper is the 0 <= k <= n condition.  An order
+        below 1 or a negative row raises ValueError, as in :meth:`row`.
         """
+        _check_row(m, n)
         if k < 0 or k > n:
             return 0
         return self.row(m, n)[k]
+
+
+def _check_row(m: int, n: int) -> None:
+    if m < 1:
+        raise ValueError(f"triangle order must be >= 1, got {m}")
+    if n < 0:
+        raise ValueError(f"row index must be >= 0, got {n}")
 
 
 def _diagonal(m: int, n: int) -> int:
@@ -68,37 +68,3 @@ def _diagonal(m: int, n: int) -> int:
         total += term
     return total
 
-
-def bruteforce_rows(m: int, n: int) -> list[list[int]]:
-    """Row n of the orders 1..m, by binomials and prefix sums alone.
-
-    Order 1 is C(n, 0..n) by the multiplicative update
-    C(n, q+1) = C(n, q)(n - q)/(q + 1) up to the middle, mirrored by
-    C(n, q) = C(n, n - q); order j is the prefix sum of order j - 1.
-    Each call builds its row fresh, so nothing steps across rows: this is
-    the oracle route, independent of the Pascal rule :class:`TriangleStore`
-    uses.
-    """
-    half = [1]
-    for q in range(n // 2):
-        half.append(half[-1] * (n - q) // (q + 1))
-    rows = [half + half[: (n + 1) // 2][::-1]]
-    for _ in range(m - 1):
-        rows.append(list(accumulate(rows[-1])))
-    return rows
-
-
-def cell_bruteforce(m: int, n: int, k: int) -> int:
-    """Entry (n, k) of the order-m triangle by direct nested summation.
-
-    Oracle counterpart of :meth:`TriangleStore.cell`, read from one
-    :func:`bruteforce_rows` row; rejects columns outside 0..n instead of
-    returning 0.
-    """
-    if m < 1:
-        raise ValueError(f"triangle order must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"column {k} out of range for row {n}")
-    return bruteforce_rows(m, n)[m - 1][k]

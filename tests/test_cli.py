@@ -7,12 +7,15 @@ from btriangles.cli import (
     _PATHSUM_N_MAX,
     _PATHSUM_ORDER_MAX,
     _SEQUENCE_TERMS_MAX,
+    _TRIANGLE_ORDER_MAX,
+    _TRIANGLE_ROWS_MAX,
     _VERIFY_N_MAX,
     main,
     run,
 )
 from btriangles.fibonacci import fib
 from btriangles.identities import REGISTRY, IdentityRecord
+from btriangles.triangle import TriangleStore
 
 
 def invoke(*args):
@@ -38,6 +41,27 @@ def test_triangle_tsv():
 
 def test_triangle_rejects_bad_order():
     assert invoke("triangle", "--order", "0", "--rows", "3").exit_code == 2
+
+
+def test_triangle_outside_limits_is_usage_error(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("triangle built for a rejected request")
+
+    monkeypatch.setattr(cli, "TriangleStore", no_work)
+    for order, rows, limit in (
+        (_TRIANGLE_ORDER_MAX + 1, 3, f"1<=x<={_TRIANGLE_ORDER_MAX}"),
+        (2, _TRIANGLE_ROWS_MAX + 1, f"0<=x<={_TRIANGLE_ROWS_MAX}"),
+        (2, -1, f"0<=x<={_TRIANGLE_ROWS_MAX}"),
+    ):
+        result = invoke("triangle", "--order", str(order), "--rows", str(rows))
+        assert result.exit_code == 2
+        assert limit in result.output
+
+
+def test_triangle_limit_corner_is_printable():
+    # Entries grow along a row, down the rows and with the order, so the last
+    # entry of the last row at the largest order is the largest one printed.
+    str(TriangleStore().row(_TRIANGLE_ORDER_MAX, _TRIANGLE_ROWS_MAX)[-1])
 
 
 def test_pathsum_value():

@@ -1,11 +1,17 @@
+import ast
+import inspect
+import sys
 import tracemalloc
 from itertools import count, islice
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from btriangles import identities
+import btriangles
+from btriangles import bruteforce, identities
+from btriangles.bruteforce import cell_bruteforce
 from btriangles.exactnum import binomial
 from btriangles.fibonacci import telescope
 from btriangles.gfib import lambda_explicit
@@ -19,7 +25,6 @@ from btriangles.identities import (
     verify,
 )
 from btriangles.paths import path_sums
-from btriangles.triangle import bruteforce_rows, cell_bruteforce
 
 EXPECTED_NAMES = {
     "theorem1",
@@ -58,27 +63,14 @@ def test_every_identity_verifies(name):
     assert report.elapsed >= 0
 
 
-_ORACLE_HELPERS = (
-    "bruteforce_rows",
-    "_rows",
-    "_feed",
-    "_t_sums",
-    "_s_sums",
-    "_one",
-    "_minus_twice_previous",
-    "_cell_minus_twice_upper_left",
-)
-
-
 def test_closed_sides_never_reach_the_oracle(monkeypatch):
     def oracle(*args):
         raise AssertionError("closed side called oracle code")
 
-    # Past valid_from, so that the check at the end restarts every stream.
-    for rec in REGISTRY.values():
-        rec.oracle(rec.valid_from + 1)
-    for name in _ORACLE_HELPERS:
-        monkeypatch.setattr(identities, name, oracle)
+    # Every function the oracle module defines, found rather than listed.
+    for name, fn in inspect.getmembers(bruteforce, inspect.isfunction):
+        if fn.__module__ == bruteforce.__name__:
+            monkeypatch.setattr(bruteforce, name, oracle)
     reached = []
     for name, rec in REGISTRY.items():
         try:
@@ -87,10 +79,53 @@ def test_closed_sides_never_reach_the_oracle(monkeypatch):
         except AssertionError:
             reached.append(name)
     assert reached == []
-    # The patched names are the oracle route: a restarted oracle hits them.
+    # The patched names are the oracle route: a fresh oracle stream hits them.
     for rec in REGISTRY.values():
         with pytest.raises(AssertionError):
-            rec.oracle(rec.valid_from)
+            next(rec.oracle._start())
+
+
+_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _package_imports():
+    # (importing module, imported module, names) for every import in the package.
+    root = Path(btriangles.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield path.stem, alias.name, ()
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:
+                    module = ".".join(filter(None, ("btriangles", module)))
+                yield path.stem, module, tuple(a.name for a in node.names)
+
+
+def test_oracle_module_imports_only_the_standard_library():
+    imports = [(m, names) for src, m, names in _package_imports() if src == "bruteforce"]
+    assert imports
+    for module, names in imports:
+        assert module.partition(".")[0] in sys.stdlib_module_names, module
+        if module == "functools":
+            assert not _CACHES & set(names), names
+    tree = ast.parse(inspect.getsource(bruteforce))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not _CACHES & used
+
+
+def test_only_the_registry_and_package_root_import_the_oracle():
+    importers = {}
+    for src, module, names in _package_imports():
+        if module == "btriangles.bruteforce" or (
+            module == "btriangles" and "bruteforce" in names
+        ):
+            importers.setdefault(src, set()).add((module, names))
+    assert set(importers) == {"identities", "__init__"}
+    # The registry binds the module, never its names, so patching the module
+    # patches every oracle route.
+    assert importers["identities"] == {("btriangles", ("bruteforce",))}
 
 
 def _t_walk(m, n):
@@ -120,8 +155,8 @@ def _stream_cases(draw):
 def _stream(paths):
     m, _, _, family = paths[0]
     if family == "T":
-        return identities._t_sums([p[0] for p in paths])
-    return identities._s_sums(m, [(c, l) for _, c, l, _ in paths], family == "Sbar")
+        return bruteforce.t_sums([p[0] for p in paths])
+    return bruteforce.s_sums(m, [(c, l) for _, c, l, _ in paths], family == "Sbar")
 
 
 @given(_stream_cases())
@@ -145,11 +180,10 @@ def _row_by_row_t_sums(orders):
     # each cell (r, k) added to the pending sum of index r + k.
     pending = [[] for _ in orders]
     for r in count():
-        rows = bruteforce_rows(max(orders), r)
         out = []
         for sums, m in zip(pending, orders):
             sums.extend([0] * (r + 1 - len(sums)))
-            for k, cell in enumerate(rows[m - 1]):
+            for k, cell in enumerate(bruteforce._row(m, r)):
                 sums[k] += cell
             out.append(sums.pop(0))
         yield tuple(out)
@@ -160,7 +194,7 @@ def _row_by_row_t_sums(orders):
     st.integers(0, 150),
 )
 def test_t_stream_by_anti_diagonals_matches_row_by_row(orders, N):
-    assert list(islice(identities._t_sums(orders), N + 1)) == list(
+    assert list(islice(bruteforce.t_sums(orders), N + 1)) == list(
         islice(_row_by_row_t_sums(orders), N + 1)
     )
 

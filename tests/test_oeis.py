@@ -171,6 +171,19 @@ def test_fetch_without_cache_or_network_raises(tmp_path, monkeypatch):
         fetch_bfile("A000045", cache_dir=tmp_path / "empty")
 
 
+def test_fetch_does_not_cache_a_malformed_response(tmp_path, monkeypatch):
+    import io
+    import urllib.request
+
+    def unavailable(*args, **kwargs):
+        return io.BytesIO(b"<html>Service unavailable</html>")
+
+    monkeypatch.setattr(urllib.request, "urlopen", unavailable)
+    with pytest.raises(ValueError):
+        fetch_bfile("A000045", cache_dir=tmp_path)
+    assert not os.listdir(tmp_path)
+
+
 def test_import_does_not_load_urllib_request():
     # Only fetch_bfile needs urllib.request; importing it eagerly would
     # add its cost to every command's start-up.

@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 import pytest
 
+from btriangles.bruteforce import cell_bruteforce
 from btriangles.fibonacci import fib
 from btriangles.paths import (
     InvalidPathSpec,
@@ -14,7 +15,7 @@ from btriangles.paths import (
     sum_T,
     trace,
 )
-from btriangles.triangle import TriangleStore, _diagonal, cell_bruteforce
+from btriangles.triangle import TriangleStore, _diagonal
 
 
 def test_spec_accepts_admissible_parameters():

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from btriangles.triangle import TriangleStore, cell_bruteforce
+from btriangles.bruteforce import cell_bruteforce
+from btriangles.triangle import TriangleStore
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,10 @@ def test_rejects_bad_indices(store):
         store.row(0, 3)
     with pytest.raises(ValueError):
         store.row(2, -1)
+    # A missing triangle is an error even where a column would vanish.
+    for m, n, k in ((0, 3, 7), (-5, 2, 9), (2, -1, 0)):
+        with pytest.raises(ValueError):
+            store.cell(m, n, k)
 
 
 def test_rows_are_memoized(store):
