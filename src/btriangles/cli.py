@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
+from itertools import islice
 
 import click
 
-from . import identities, oeis
+from . import identities, oeis, triangle
 from .gfib import lambda_values
 from .paths import InvalidPathSpec, PathSpec, sum_S, sum_Sbar, sum_T, trace
 from .polyderive import derive_QR
-from .triangle import TriangleStore
 
 _FAMILY_SUM = {"S": sum_S, "Sbar": sum_Sbar, "T": sum_T}
 
@@ -66,9 +66,7 @@ def main() -> None:
 @click.option("--tsv", is_flag=True, help="tab-separated row dump: n=<row>, entries")
 def triangle_cmd(order: int, rows: int, tsv: bool) -> None:
     """Print rows 0..ROWS of the order-ORDER triangle."""
-    store = TriangleStore()
-    for n in range(rows + 1):
-        row = store.row(order, n)
+    for n, row in enumerate(islice(triangle.rows(order), rows + 1)):
         if tsv:
             click.echo(f"n={n}\t" + "\t".join(str(v) for v in row))
         else:

@@ -42,9 +42,9 @@ def telescope(u0: int, v: Sequence[int], n: int) -> int:
         raise ValueError(f"telescope requires n >= 0, got {n}")
     if len(v) < n:
         raise ValueError(f"telescope needs {n} differences, got {len(v)}")
-    total = u0 * (1 << n)
-    for k in range(1, n + 1):
-        total += v[k - 1] * (1 << (n - k))
+    total = u0
+    for x in v[:n]:
+        total = 2 * total + x
     return total
 
 

@@ -9,13 +9,10 @@ over the triangle on the other.  Every oracle is a forward stream of
 closed sides never call it, so agreement over a sweep is genuine
 evidence.
 
-The record's ``oracle(n)`` stays per-n through :class:`_Streamed`: it
-holds the stream and the index of its last value, advances for a later
-n, repeats the held value for the same n and restarts the stream from 0
-for an earlier n.  The same adapter serves the ``corollary1`` closed
-side, a forward recurrence over n; the ``relB2diff`` closed side reads
-the Pascal-rule rows of a :class:`~btriangles.triangle.TriangleStore`
-cursor.
+Both sides are per-n.  Every oracle, and the closed sides that stream
+(``corollary1``'s recurrence over n and ``relB2diff``'s Pascal-rule
+:func:`~btriangles.triangle.rows`), is read through one
+:class:`~btriangles.triangle.Cursor` per side.
 
 :func:`verify` sweeps one record over an index range and reports every
 mismatch.  Multi-parameter families (a range of orders m or drops c)
@@ -28,7 +25,7 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from . import bruteforce
 from .exactnum import pow2
@@ -36,7 +33,7 @@ from .fibonacci import fib
 from .gfib import lambda_explicit
 from .paths import path_sums, sum_Sbar
 from .polyderive import QRPair, RatPolynomial, qr_closed, tm_closed
-from .triangle import TriangleStore
+from .triangle import Cursor, rows
 
 __all__ = [
     "IdentityRecord",
@@ -83,31 +80,6 @@ class VerifyReport:
         return f"{self.name} FAIL at n={n}: closed={closed} oracle={oracle}"
 
 
-class _Streamed:
-    """Per-n view of a forward stream: an oracle, or the corollary1 closed side.
-
-    Holds the running stream and the index and value of its last output.
-    A call at or past that index advances the stream; an earlier index
-    restarts it from n = 0, as the TriangleStore cursor rebuilds from
-    row 0.  Not for concurrent calls: threads would share one stream.
-    """
-
-    def __init__(self, start: Callable[[], Iterator]) -> None:
-        self._start = start
-        self._stream, self._at = start(), -1
-        self._value: object = None
-
-    def __call__(self, n: int):
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        if n < self._at:
-            self._stream, self._at = self._start(), -1
-        while self._at < n:
-            self._value = next(self._stream)
-            self._at += 1
-        return self._value
-
-
 # The paper's printed (Q, R) pairs for orders 2..5, coefficients of p^0 up.
 _PRINTED_QR = {
     m: QRPair(m, RatPolynomial(q), RatPolynomial(r))
@@ -137,29 +109,20 @@ def _corollary1_closed() -> Iterator[tuple[int, ...]]:
         sums = tuple(2 * u + lambda_explicit(c, n) for u, c in zip(sums, _DROPS))
 
 
-# Closed sides may use the Pascal rule; the oracles never do.
-_PASCAL = TriangleStore()
-
-
-def _relB2diff_closed(n: int) -> tuple[int, ...]:
-    # C(n - 1, q) for q in 1..n: row n - 1 of Pascal's triangle from column 1.
-    return (*_PASCAL.row(1, n - 1)[1:], 0)
-
-
 REGISTRY: dict[str, IdentityRecord] = {
     rec.name: rec
     for rec in [
         IdentityRecord(
             "theorem1",
             lambda n: pow2(n + 1) - fib(n + 2),
-            _Streamed(lambda: bruteforce.one(bruteforce.s_sums(2, [(2, -1)]))),
+            Cursor(lambda: bruteforce.one(bruteforce.s_sums(2, [(2, -1)]))),
             0,
             "order-2 diagonal path sum S_n(2,-1) = 2^(n+1) - F_(n+2)",
         ),
         IdentityRecord(
             "S2diff",
             lambda n: fib(n - 1),
-            _Streamed(
+            Cursor(
                 lambda: bruteforce.minus_twice_previous(
                     bruteforce.one(bruteforce.s_sums(2, [(2, -1)]))
                 )
@@ -169,47 +132,45 @@ REGISTRY: dict[str, IdentityRecord] = {
         ),
         IdentityRecord(
             "relB2diff",
-            _relB2diff_closed,
-            _Streamed(lambda: bruteforce.cell_minus_twice_upper_left(2)),
+            # C(n - 1, q) for q in 1..n, none at n = 0: Pascal's row n - 1 from
+            # column 1.  Closed sides may use the Pascal rule; oracles never do.
+            Cursor(lambda: chain([()], ((*row[1:], 0) for row in rows(1)))),
+            Cursor(lambda: bruteforce.cell_minus_twice_upper_left(2)),
             1,
             "cell minus twice its upper-left neighbour is binomial",
         ),
         IdentityRecord(
             "corollary1",
-            _Streamed(_corollary1_closed),
-            _Streamed(lambda: bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS])),
+            Cursor(_corollary1_closed),
+            Cursor(lambda: bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS])),
             0,
             "path-sum reconstruction from the explicit lambda expansion, c in [2,8]",
         ),
         IdentityRecord(
             "T2even",
             lambda p: tm_closed(2, 2 * p - 1) + fib(2 * p + 1),
-            _Streamed(
-                lambda: islice(bruteforce.one(bruteforce.t_sums([2])), 0, None, 2)
-            ),
+            Cursor(lambda: islice(bruteforce.one(bruteforce.t_sums([2])), 0, None, 2)),
             1,
             "even-index order-2 T recurrence with Fibonacci increment",
         ),
         IdentityRecord(
             "T2odd",
             lambda p: tm_closed(2, 2 * p) + tm_closed(2, 2 * p - 1),
-            _Streamed(
-                lambda: islice(bruteforce.one(bruteforce.t_sums([2])), 1, None, 2)
-            ),
+            Cursor(lambda: islice(bruteforce.one(bruteforce.t_sums([2])), 1, None, 2)),
             1,
             "odd-index order-2 T recurrence",
         ),
         IdentityRecord(
             "resT2",
             lambda n: qr_closed(_PRINTED_QR[2], n),
-            _Streamed(lambda: bruteforce.one(bruteforce.t_sums([2]))),
+            Cursor(lambda: bruteforce.one(bruteforce.t_sums([2]))),
             0,
             "order-2 T path sum closed form",
         ),
         IdentityRecord(
             "rel8",
             lambda n: fib(n),
-            _Streamed(
+            Cursor(
                 lambda: bruteforce.minus_twice_previous(
                     bruteforce.one(bruteforce.s_sums(3, [(2, -1)], True))
                 )
@@ -220,14 +181,14 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "S3barClosed",
             lambda n: 3 * pow2(n) - fib(n + 3),
-            _Streamed(lambda: bruteforce.one(bruteforce.s_sums(3, [(2, -1)], True))),
+            Cursor(lambda: bruteforce.one(bruteforce.s_sums(3, [(2, -1)], True))),
             0,
             "order-3 complementary path sum closed form",
         ),
         IdentityRecord(
             "theoremS3",
             lambda n: fib(n + 3) + (n - 1) * pow2(n),
-            _Streamed(lambda: bruteforce.one(bruteforce.s_sums(3, [(2, -1)]))),
+            Cursor(lambda: bruteforce.one(bruteforce.s_sums(3, [(2, -1)]))),
             0,
             "order-3 diagonal path sum S_n(2,-1) closed form",
         ),
@@ -236,7 +197,7 @@ REGISTRY: dict[str, IdentityRecord] = {
             lambda p: tuple(
                 tm_closed(m, 2 * p) + tm_closed(m, 2 * p - 1) for m in _T_ORDERS
             ),
-            _Streamed(lambda: islice(bruteforce.t_sums(_T_ORDERS), 1, None, 2)),
+            Cursor(lambda: islice(bruteforce.t_sums(_T_ORDERS), 1, None, 2)),
             1,
             "odd-index T recurrence, orders 2..6",
         ),
@@ -245,35 +206,35 @@ REGISTRY: dict[str, IdentityRecord] = {
             lambda p: tuple(
                 tm_closed(m, 2 * p - 1) + tm_closed(m - 1, 2 * p) for m in _T_ORDERS
             ),
-            _Streamed(lambda: islice(bruteforce.t_sums(_T_ORDERS), 0, None, 2)),
+            Cursor(lambda: islice(bruteforce.t_sums(_T_ORDERS), 0, None, 2)),
             1,
             "even-index T recurrence dropping one order, orders 2..6",
         ),
         IdentityRecord(
             "resT3",
             lambda n: qr_closed(_PRINTED_QR[3], n),
-            _Streamed(lambda: bruteforce.one(bruteforce.t_sums([3]))),
+            Cursor(lambda: bruteforce.one(bruteforce.t_sums([3]))),
             0,
             "order-3 T path sum closed form with rational halves",
         ),
         IdentityRecord(
             "T4closed",
             lambda n: qr_closed(_PRINTED_QR[4], n),
-            _Streamed(lambda: bruteforce.one(bruteforce.t_sums([4]))),
+            Cursor(lambda: bruteforce.one(bruteforce.t_sums([4]))),
             0,
             "order-4 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "T5closed",
             lambda n: qr_closed(_PRINTED_QR[5], n),
-            _Streamed(lambda: bruteforce.one(bruteforce.t_sums([5]))),
+            Cursor(lambda: bruteforce.one(bruteforce.t_sums([5]))),
             0,
             "order-5 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "theoremTm",
             lambda n: tuple(tm_closed(m, n) for m in _TM_ORDERS),
-            _Streamed(lambda: bruteforce.t_sums(_TM_ORDERS)),
+            Cursor(lambda: bruteforce.t_sums(_TM_ORDERS)),
             0,
             "derived polynomial closed form for T path sums, orders 1..10",
         ),
@@ -304,9 +265,9 @@ def verify(name: str, n_max: int) -> VerifyReport:
     return VerifyReport(name, rec.valid_from, n_max, tuple(failures), elapsed)
 
 
-# Sequence generators without closed forms.  Their only verification is
-# membership in a known integer sequence, handled by the oeis module,
-# so they live outside REGISTRY.
+# Sequence generators without closed forms, so they live outside REGISTRY.
+# The test suite checks them against the bundled b-file snapshots of
+# A005251, A138653 and A005314 at the frozen offsets of the oeis bindings.
 
 
 def sbar31(n: int) -> int:

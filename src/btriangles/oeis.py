@@ -30,7 +30,7 @@ from .fibonacci import fib
 from .gfib import lambda_values
 from .identities import VerifyReport
 from .paths import path_sums
-from .triangle import TriangleStore
+from .triangle import rows
 
 __all__ = [
     "BFile",
@@ -189,9 +189,7 @@ def _lambda_terms(c: int, count: int) -> list[int]:
 
 
 def _row_terms(m: int, count: int) -> list[int]:
-    store = TriangleStore()
-    rows = (store.row(m, n) for n in itertools.count())
-    return list(itertools.islice(itertools.chain.from_iterable(rows), count))
+    return list(itertools.islice(itertools.chain.from_iterable(rows(m)), count))
 
 
 def _path_terms(m: int, c: int, l: int, family: str, count: int) -> list[int]:

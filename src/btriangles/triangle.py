@@ -1,39 +1,79 @@
-"""Iterated partial-sum triangles, read row by row.
+"""Iterated partial-sum triangles, read row by row, and the per-n cursor.
 
 Order 1 is Pascal's triangle.  Order m is the prefix sum of order m - 1:
 entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1.
-Each order is built on its own: interior cells follow the Pascal rule
-cell(n, k) = cell(n-1, k) + cell(n-1, k-1) and the diagonal has a
-closed form, so no row reads a lower order.
+:func:`rows` streams one order: interior cells follow the Pascal rule
+cell(n, k) = cell(n-1, k) + cell(n-1, k-1) and the diagonal has a closed
+form, so no row reads a lower order.  :class:`Cursor`, the package's one
+per-n view of a forward stream, serves :class:`TriangleStore` and the
+identity registry.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Iterator
+from functools import partial
+from itertools import count
 from operator import add
 
-__all__ = ["TriangleStore"]
+__all__ = ["Cursor", "TriangleStore", "rows"]
+
+
+class Cursor:
+    """Per-n view of the forward stream ``start()``: ``cursor(n)`` is its value n.
+
+    A later n advances the stream, the same n returns the held value and
+    an earlier n restarts the stream from 0.  A stream whose advance
+    raised, even by an interrupt, is dropped and restarted by the next
+    call.  Calls from several threads take turns.
+    """
+
+    def __init__(self, start: Callable[[], Iterator]) -> None:
+        self.start = start
+        self._lock = threading.Lock()
+        self._stream, self._at, self._value = None, -1, None
+
+    def __call__(self, n: int):
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        with self._lock:
+            # Taken out while it advances, so a stream that raised is dropped.
+            stream, self._stream = self._stream, None
+            if stream is None or n < self._at:
+                stream, self._at = self.start(), -1
+            while self._at < n:
+                self._value = next(stream)
+                self._at += 1
+            self._stream = stream
+            return self._value
+
+
+def rows(m: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0, 1, 2, ... of the order-m triangle, each stepped from the last."""
+    _check_row(m, 0)
+    row = (1,)
+    for r in count(1):
+        yield row
+        row = (1, *map(add, row, row[1:]), _diagonal(m, r))
 
 
 class TriangleStore:
-    """Forward cursor over triangle rows, holding one row per order.
+    """Triangle rows of any order, read forward by one :class:`Cursor` per order.
 
-    ``row(m, n)`` steps the held row of order m forward to row n by the
-    Pascal rule and then holds row n; an earlier n rebuilds from row 0.
+    ``row(m, n)`` advances the order-m cursor over :func:`rows` to row n
+    and then holds row n; an earlier n restarts from row 0.
     """
 
     def __init__(self) -> None:
-        self._cursor: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._cursors: dict[int, Cursor] = {}
 
     def row(self, m: int, n: int) -> tuple[int, ...]:
         """Row n of the order-m triangle: entries for columns 0..n."""
         _check_row(m, n)
-        held, row = self._cursor.get(m, (0, (1,)))
-        if held > n:
-            held, row = 0, (1,)
-        for r in range(held + 1, n + 1):
-            row = (1, *map(add, row, row[1:]), _diagonal(m, r))
-        self._cursor[m] = (n, row)
-        return row
+        if m not in self._cursors:
+            self._cursors[m] = Cursor(partial(rows, m))
+        return self._cursors[m](n)
 
     def cell(self, m: int, n: int, k: int) -> int:
         """Entry (n, k) of the order-m triangle.
@@ -67,4 +107,3 @@ def _diagonal(m: int, n: int) -> int:
         term = term * ((n - i) * (m - 2 - i)) // (2 * (i + 1) ** 2)
         total += term
     return total
-

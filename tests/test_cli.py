@@ -47,7 +47,7 @@ def test_triangle_outside_limits_is_usage_error(monkeypatch):
     def no_work(*args):
         raise AssertionError("triangle built for a rejected request")
 
-    monkeypatch.setattr(cli, "TriangleStore", no_work)
+    monkeypatch.setattr(cli.triangle, "rows", no_work)
     for order, rows, limit in (
         (_TRIANGLE_ORDER_MAX + 1, 3, f"1<=x<={_TRIANGLE_ORDER_MAX}"),
         (2, _TRIANGLE_ROWS_MAX + 1, f"0<=x<={_TRIANGLE_ROWS_MAX}"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pytest
 
 import btriangles
-from btriangles import bruteforce, identities
+from btriangles import bruteforce
 from btriangles.bruteforce import cell_bruteforce
 from btriangles.exactnum import binomial
 from btriangles.fibonacci import telescope
@@ -24,7 +24,9 @@ from btriangles.identities import (
     sbar41,
     verify,
 )
+from btriangles.oeis import BINDINGS, load_snapshot
 from btriangles.paths import path_sums
+from btriangles.triangle import Cursor
 
 EXPECTED_NAMES = {
     "theorem1",
@@ -82,7 +84,7 @@ def test_closed_sides_never_reach_the_oracle(monkeypatch):
     # The patched names are the oracle route: a fresh oracle stream hits them.
     for rec in REGISTRY.values():
         with pytest.raises(AssertionError):
-            next(rec.oracle._start())
+            next(rec.oracle.start())
 
 
 _CACHES = {"cache", "lru_cache", "cached_property"}
@@ -222,7 +224,7 @@ def test_closed_sides_in_any_order_match_the_per_n_routes(name, data):
 @given(st.sampled_from(sorted(EXPECTED_NAMES)), st.data())
 def test_oracle_calls_in_any_order_match_a_fresh_sweep(name, data):
     rec = REGISTRY[name]
-    fresh = identities._Streamed(rec.oracle._start)
+    fresh = Cursor(rec.oracle.start)
     expected = {n: fresh(n) for n in range(rec.valid_from, 41)}
     calls = data.draw(st.lists(st.integers(rec.valid_from, 40), max_size=20))
     for n in calls:
@@ -285,6 +287,20 @@ def test_sequence_generators_without_closed_forms():
     assert [sbar31diff3(n) for n in range(1, 13)] == [
         1, 2, 3, 5, 9, 16, 28, 49, 86, 151, 265, 465,
     ]
+
+
+@pytest.mark.parametrize(
+    "oeis_id, term, first",
+    [("A005251", sbar31, 0), ("A138653", sbar41, 0), ("A005314", sbar31diff3, 1)],
+)
+def test_sequence_generators_match_the_bundled_b_files(oeis_id, term, first):
+    # The binding's term j, the generator's term first + j, is b-file index
+    # offset + j; every index the snapshot covers from the offset is checked.
+    offset = BINDINGS[oeis_id].offset
+    entries = [(i, v) for i, v in load_snapshot(oeis_id).entries if i >= offset]
+    assert len(entries) >= 97
+    for i, value in entries:
+        assert term(first + i - offset) == value, i
 
 
 def test_diff_generator_rejects_zero():

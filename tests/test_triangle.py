@@ -1,12 +1,16 @@
+import sys
 import threading
+from itertools import count, islice
 from math import comb
 
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from btriangles import bruteforce, triangle
 from btriangles.bruteforce import cell_bruteforce
-from btriangles.triangle import TriangleStore
+from btriangles.identities import REGISTRY
+from btriangles.triangle import Cursor, TriangleStore, rows
 
 
 @pytest.fixture(scope="module")
@@ -96,14 +100,84 @@ def test_rows_are_memoized(store):
     assert store.row(2, 12) is store.row(2, 12)
 
 
-def test_cursor_holds_one_row_per_order():
+def test_cursor_holds_one_row_per_order(monkeypatch):
+    starts = []
+
+    def counted_rows(m):
+        starts.append(m)
+        return rows(m)
+
+    monkeypatch.setattr(triangle, "rows", counted_rows)
     store = TriangleStore()
     for n in range(40):
         store.row(2, n)
         store.row(3, n)
-    assert {m: n for m, (n, _) in store._cursor.items()} == {2: 39, 3: 39}
+    held = {m: (cursor._at, cursor._value) for m, cursor in store._cursors.items()}
+    assert held == {2: (39, store.row(2, 39)), 3: (39, store.row(3, 39))}
+    assert starts == [2, 3]
+    # An earlier row rebuilds its order from row 0 and then holds that row.
     assert store.row(2, 7) == (1, 8, 29, 64, 99, 120, 127, 128)
-    assert store._cursor[2] == (7, store.row(2, 7))
+    assert (store._cursors[2]._at, store._cursors[2]._value) == (7, store.row(2, 7))
+    assert starts == [2, 3, 2]
+
+
+def _squares():
+    return map(lambda i: i * i, count())
+
+
+@given(st.lists(st.integers(0, 60), max_size=30))
+def test_cursor_calls_in_any_order_match_a_fresh_stream(calls):
+    starts = []
+
+    def start():
+        starts.append(None)
+        return _squares()
+
+    cursor = Cursor(start)
+    held, restarts = -1, 1
+    for n in calls:
+        assert cursor(n) == next(islice(_squares(), n, None)), n
+        restarts += n < held
+        held = n
+    # A stream starts on the first call and again only for an earlier index.
+    assert len(starts) == (restarts if calls else 0)
+    with pytest.raises(ValueError):
+        cursor(-1)
+
+
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 40)), max_size=20))
+def test_store_rows_in_any_order_match_bruteforce(reads):
+    store = TriangleStore()
+    for m, n in reads:
+        assert store.row(m, n) == tuple(cell_bruteforce(m, n, k) for k in range(n + 1))
+
+
+def test_a_stream_that_raised_restarts_on_the_next_call(monkeypatch):
+    # An interrupt mid-advance must not leave a dead stream held, which
+    # would make every later call at or past its index raise StopIteration.
+    oracle = REGISTRY["theorem1"].oracle
+    expected = [oracle(n) for n in range(8)]
+    one, diagonal = bruteforce.one, triangle._diagonal
+
+    def interrupted_one(stream):
+        yield from islice(one(stream), 3)
+        raise KeyboardInterrupt
+
+    def interrupted_diagonal(m, n):
+        if n == 3:
+            raise KeyboardInterrupt
+        return diagonal(m, n)
+
+    monkeypatch.setattr(bruteforce, "one", interrupted_one)
+    monkeypatch.setattr(triangle, "_diagonal", interrupted_diagonal)
+    store = TriangleStore()
+    with pytest.raises(KeyboardInterrupt):
+        oracle(5)
+    with pytest.raises(KeyboardInterrupt):
+        store.row(2, 5)
+    monkeypatch.undo()
+    assert oracle(6) == expected[6]
+    assert store.row(2, 6) == (1, 7, 22, 42, 57, 63, 64)
 
 
 def test_bruteforce_values():
@@ -153,7 +227,7 @@ def test_high_order_row_builds_no_lower_order():
     store = TriangleStore()
     assert store.row(1200, 3) == (1, 1202, 723000, 290161598)
     assert store.row(1200, 3) == tuple(_convolution(1200, 3, k) for k in range(4))
-    assert set(store._cursor) == {1200}
+    assert set(store._cursors) == {1200}
 
 
 class _CrossOrderStore:
@@ -211,11 +285,19 @@ def test_concurrent_row_builds_agree():
     def worker(tag):
         results[tag] = [store.row(3, n) for n in range(60)]
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    # A short switch interval makes the threads interleave inside row().
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     expected = [TriangleStore().row(3, n) for n in range(60)]
+    assert sorted(results) == list(range(8))
     for tag in results:
         assert results[tag] == expected
