@@ -26,11 +26,15 @@ _FAMILY_SUM = {"S": sum_S, "Sbar": sum_Sbar, "T": sum_T}
 # The largest entry printed, cell(1200, 1000, 1000), has 808 digits.
 _TRIANGLE_ORDER_MAX = 1200
 _TRIANGLE_ROWS_MAX = 1000
-# Measured: an order-2 or order-3 path sum takes 1.7-2.6 s at n = 4000 and
-# 6.6-9.2 s at n = 6000 (CPython 3.11, 2 vCPUs); the cost grows as n^2 or faster.
+# Measured (CPython 3.11, 2 vCPUs): T(2, -1, -1), S(2, 2, -1) and Sbar(3, 2, -1)
+# take 0.4-0.5 s at n = 4000 and 1.4-1.7 s at n = 6000; S(3, 40, -1), whose
+# dependency cone is nearly the whole triangle, takes 1.2 s and 4.6 s. The cost
+# grows as n^2 or faster.
 _PATHSUM_N_MAX = 4000
-# Measured at n = 4000: order 200 takes 3.8 s, order 1200 12.3 s and order 4000
-# 29.9 s, as each row's diagonal costs min(n, order) terms.
+# Measured at n = 4000: order 200 takes 0.7 s for T(m, -1, -1) and 1.4 s for
+# S(m, 2, -1), order 1200 2.6 s and 7.9 s, order 4000 3.8 s and 21.5 s, as each
+# diagonal stepped costs min(n, order) terms; a T walk steps a row's diagonal
+# only while its window is the whole row.
 _PATHSUM_ORDER_MAX = 1200
 # lambda grows fastest at c = 2: lambda_20579(2) is over CPython's int-to-str limit.
 _LAMBDA_TERMS_MAX = 20000
@@ -40,8 +44,8 @@ _DERIVE_ORDER_MAX = 300
 # 94-103 s at 2000 (58 MB); the cost grows as n^3.
 _VERIFY_N_MAX = 1000
 # Measured: the path-sum bindings take 1.8-2.3 s for 4000 terms, one pass over
-# rows 0..4000 as in pathsum --n 4000; every such term prints under CPython's
-# 4300-digit int-to-str limit (the largest has 1205 digits).
+# full rows 0..4000; every such term prints under CPython's 4300-digit
+# int-to-str limit (the largest has 1205 digits).
 _SEQUENCE_TERMS_MAX = 4000
 
 
@@ -99,7 +103,9 @@ def pathsum_cmd(
             walk = trace(spec)
             for k, ((row, col), value) in enumerate(zip(walk.cells, walk.values)):
                 click.echo(f"{k}\t{row}\t{col}\t{value}")
-        total = _FAMILY_SUM[family](order, c, l, n)
+            total = walk.total
+        else:
+            total = _FAMILY_SUM[family](order, c, l, n)
     except InvalidPathSpec as exc:
         raise click.UsageError(str(exc)) from exc
     click.echo(str(total))

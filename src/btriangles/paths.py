@@ -10,13 +10,15 @@ the triangle yields the three families
 * T: start (n, 0), c < 0, l < 0 - walk up-right from the left edge.
 
 Every family stops at the last in-range cell, so each sum is finite.
+One sum (:func:`trace`, :func:`sum_S`, ...) builds only the cells its
+path depends on; :func:`path_sums` gives every n <= N from full rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .triangle import TriangleStore
+from .triangle import TriangleStore, step
 
 __all__ = [
     "InvalidPathSpec",
@@ -95,19 +97,43 @@ def trace(spec: PathSpec) -> PathTrace:
 
     For Sbar the cells and values are those of the underlying S walk;
     the complement applies to :attr:`PathTrace.total` only.
+
+    Only the path's dependency cone is built.  Step k lies on row
+    n - k|l|, e*k columns in from the left edge (T, e = |c|) or from the
+    diagonal (S, e = c + l).  On row r the path's cells on rows >= r,
+    steps 0..k, reach through the Pascal rule the columns within e*k of
+    that side.  Rows where this window is the whole row come from the
+    store; each later row is stepped over its window alone.
     """
-    # Each family stops at its last in-range step k.
+    m, n, rise = spec.m, spec.n, -spec.l
     if spec.family == "T":
-        start_col, steps = 0, -spec.n // (spec.c + spec.l)
+        start_col, steps, e = 0, -n // (spec.c + spec.l), -spec.c
     else:
-        start_col, steps = spec.n, spec.n // spec.c
-    cells = tuple(
-        (spec.n + k * spec.l, start_col - k * spec.c) for k in range(steps + 1)
-    )
-    # Rows fall along the walk, so read them backwards: the store moves forward.
+        start_col, steps, e = n, n // spec.c, spec.c + spec.l
+    cells = tuple((n - k * rise, start_col - k * spec.c) for k in range(steps + 1))
+
+    def reach(r: int) -> int:
+        return min(steps, (n - r) // rise) * e
+
+    r0 = 0  # the last row whose window is the whole row
+    while r0 < n and reach(r0 + 1) > r0:
+        r0 += 1
     store = TriangleStore()
-    values = [store.cell(spec.m, row, col) for row, col in reversed(cells)]
-    return PathTrace(spec, cells, tuple(reversed(values)))
+    values = [0] * len(cells)
+    k = steps  # the next cell to read, rows ascending
+    while k >= 0 and cells[k][0] <= r0:
+        values[k] = store.cell(m, *cells[k])
+        k -= 1
+    row, lo = store.row(m, r0), 0  # row holds columns lo.. of the current row
+    for r in range(r0 + 1, n + 1):
+        width = min(r, reach(r))
+        new_lo, hi = (0, width) if spec.family == "T" else (r - width, r)
+        prev = row[max(new_lo - 1, 0) - lo : min(hi, r - 1) - lo + 1]
+        row, lo = step(m, r, prev, new_lo, hi), new_lo
+        if cells[k][0] == r:
+            values[k] = row[cells[k][1] - lo]
+            k -= 1
+    return PathTrace(spec, cells, tuple(values))
 
 
 def path_sums(m: int, c: int, l: int, family: str, N: int) -> list[int]:
@@ -136,14 +162,14 @@ def path_sums(m: int, c: int, l: int, family: str, N: int) -> list[int]:
 
 def sum_S(m: int, c: int, l: int, n: int) -> int:
     """Down-left path sum from the diagonal cell (n, n)."""
-    return path_sums(m, c, l, "S", n)[n]
+    return trace(PathSpec(m, c, l, "S", n)).total
 
 
 def sum_Sbar(m: int, c: int, l: int, n: int) -> int:
     """Complementary sum 2*cell(n, n) - S; counts the diagonal cell twice."""
-    return path_sums(m, c, l, "Sbar", n)[n]
+    return trace(PathSpec(m, c, l, "Sbar", n)).total
 
 
 def sum_T(m: int, c: int, l: int, n: int) -> int:
     """Up-right path sum from the left-edge cell (n, 0)."""
-    return path_sums(m, c, l, "T", n)[n]
+    return trace(PathSpec(m, c, l, "T", n)).total

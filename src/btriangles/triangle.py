@@ -4,7 +4,9 @@ Order 1 is Pascal's triangle.  Order m is the prefix sum of order m - 1:
 entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1.
 :func:`rows` streams one order: interior cells follow the Pascal rule
 cell(n, k) = cell(n-1, k) + cell(n-1, k-1) and the diagonal has a closed
-form, so no row reads a lower order.  :class:`Cursor`, the package's one
+form, so no row reads a lower order.  :func:`step` is that rule, over a
+window of columns, for both :func:`rows` and the path walks of
+:mod:`btriangles.paths`.  :class:`Cursor`, the package's one
 per-n view of a forward stream, serves :class:`TriangleStore` and the
 identity registry.
 """
@@ -12,12 +14,12 @@ identity registry.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 from itertools import count
 from operator import add
 
-__all__ = ["Cursor", "TriangleStore", "rows"]
+__all__ = ["Cursor", "TriangleStore", "rows", "step"]
 
 
 class Cursor:
@@ -49,13 +51,24 @@ class Cursor:
             return self._value
 
 
+def step(m: int, r: int, prev: Sequence[int], lo: int, hi: int) -> tuple[int, ...]:
+    """Columns lo..hi of row r >= 1 of the order-m triangle, by the Pascal rule.
+
+    ``prev`` holds columns max(lo - 1, 0)..min(hi, r - 1) of row r - 1.
+    Column 0 is 1 and column r is the closed-form diagonal.
+    """
+    head = (1,) if lo == 0 else ()
+    tail = (_diagonal(m, r),) if hi == r else ()
+    return (*head, *map(add, prev, prev[1:]), *tail)
+
+
 def rows(m: int) -> Iterator[tuple[int, ...]]:
     """Rows 0, 1, 2, ... of the order-m triangle, each stepped from the last."""
     _check_row(m, 0)
     row = (1,)
     for r in count(1):
         yield row
-        row = (1, *map(add, row, row[1:]), _diagonal(m, r))
+        row = step(m, r, row, 0, r)
 
 
 class TriangleStore:

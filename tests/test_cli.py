@@ -96,6 +96,24 @@ def test_pathsum_trace():
     ]
 
 
+def test_pathsum_trace_prints_the_walk_total(monkeypatch):
+    # The total comes from the traced walk, not from a second walk.
+    def second_walk(*args):
+        raise AssertionError("path walked twice")
+
+    for family in ("S", "Sbar", "T"):
+        monkeypatch.setitem(cli._FAMILY_SUM, family, second_walk)
+    for family, c, l, n, total in (
+        ("S", 2, -1, 4, "24"), ("Sbar", 2, -1, 9, "89"), ("T", -1, -1, 8, "73"),
+    ):
+        result = invoke(
+            "pathsum", "--order", "2", "--family", family, "--c", str(c),
+            "--l", str(l), "--n", str(n), "--trace",
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[-1] == total
+
+
 def test_pathsum_sbar_total_differs_from_walk():
     result = invoke(
         "pathsum", "--order", "2", "--family", "Sbar", "--c", "2", "--l", "-1",

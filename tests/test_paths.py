@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 import pytest
 
+from btriangles import paths
 from btriangles.bruteforce import cell_bruteforce
 from btriangles.fibonacci import fib
 from btriangles.paths import (
@@ -194,18 +195,53 @@ def _path_families(draw):
 
 
 @given(_path_families())
-@example((2, 1, -1, "S", 60))  # c + l = 0: one diagonal cell feeds every n
-@example((2, 2, -2, "S", 60))
+@example((2, 1, -1, "S", 60))  # c + l = 0: one diagonal cell feeds every n,
+@example((2, 2, -2, "S", 60))  # and a single sum's window is the diagonal alone
 @example((3, 1, -1, "Sbar", 60))
+@example((3, 3, -2, "S", 60))  # |l| > 1
+@example((2, -1, -3, "T", 60))
+@example((1, 2, -1, "Sbar", 60))  # m = 1
+@example((1, -1, -1, "T", 60))
+@example((2, 2, -1, "Sbar", 0))  # n = 0
+@example((2, -1, -1, "T", 0))
+@example((2, -3, -1, "T", 60))  # |c| > |l|
 def test_path_sums_match_memo_walk_and_bruteforce(case):
+    # path_sums and each single sum's cone walk against the slow routes.
     m, c, l, family, N = case
     sums = path_sums(m, c, l, family, N)
     assert len(sums) == N + 1
     memo = _MemoStore()
+    one_sum = getattr(paths, f"sum_{family}")
     for n, value in enumerate(sums):
         spec = PathSpec(m, c, l, family, n)
         assert value == _walk_sum(spec, memo.cell), n
         assert value == _walk_sum(spec, cell_bruteforce), n
+        walk = trace(spec)
+        assert walk.values == tuple(cell_bruteforce(m, r, k) for r, k in walk.cells), n
+        assert one_sum(m, c, l, n) == walk.total == value, n
+
+
+@pytest.mark.parametrize(
+    "one_sum, args, value",
+    [
+        (sum_T, (2, -1, -1, 400), fib(403) - (1 << 200)),
+        (sum_S, (2, 2, -1, 400), (1 << 401) - fib(402)),
+    ],
+    ids=("T", "S"),
+)
+def test_single_sum_reads_no_store_row_past_its_full_cone(monkeypatch, one_sum, args, value):
+    # Rows past 200 are narrower than the row at n = 400, so they are stepped
+    # over the path's window and never read whole from the store.
+    read = []
+    row = TriangleStore.row
+
+    def counted_row(self, m, n):
+        read.append(n)
+        return row(self, m, n)
+
+    monkeypatch.setattr(TriangleStore, "row", counted_row)
+    assert one_sum(*args) == value
+    assert read and max(read) <= 200
 
 
 def test_path_sums_rejects_inadmissible_families():

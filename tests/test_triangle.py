@@ -80,6 +80,15 @@ def test_interior_pascal_rule(m, n, data):
     assert store.cell(m, n, k) == store.cell(m, n - 1, k) + store.cell(m, n - 1, k - 1)
 
 
+@given(st.integers(1, 6), st.integers(1, 40), st.data())
+def test_windowed_step_matches_the_full_row(m, r, data):
+    lo = data.draw(st.integers(0, r))
+    hi = data.draw(st.integers(lo, r))
+    prev, full = islice(rows(m), r - 1, r + 1)
+    window = prev[max(lo - 1, 0) : min(hi, r - 1) + 1]
+    assert triangle.step(m, r, window, lo, hi) == full[lo : hi + 1]
+
+
 def test_out_of_range_columns_read_zero(store):
     assert store.cell(2, 5, 6) == 0
     assert store.cell(2, 5, -1) == 0
