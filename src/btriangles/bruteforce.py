@@ -15,9 +15,9 @@ order.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
-from itertools import accumulate, count
+from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "t_sums",
     "s_sums",
     "one",
-    "minus_twice_previous",
+    "with_minus_twice_previous",
     "cell_minus_twice_upper_left",
 ]
 
@@ -107,11 +107,13 @@ def one(stream: Iterator[tuple[int, ...]]) -> Iterator[int]:
     return (only for (only,) in stream)
 
 
-def minus_twice_previous(stream: Iterator[int]) -> Iterator[int]:
-    """u_n - 2 u_(n-1) for a stream u, with u_(-1) = 0."""
-    previous = 0
+def with_minus_twice_previous(
+    stream: Iterator[tuple[int, ...]],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(u_n, u_n - 2 u_(n-1)) for a stream u of tuples, elementwise, with u_(-1) = 0."""
+    previous: Iterable[int] = repeat(0)
     for value in stream:
-        yield value - 2 * previous
+        yield value, tuple(v - 2 * p for v, p in zip(value, previous))
         previous = value
 
 

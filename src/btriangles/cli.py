@@ -40,8 +40,8 @@ _PATHSUM_ORDER_MAX = 1200
 _LAMBDA_TERMS_MAX = 20000
 # Measured: derive-poly takes 2.5 s at order 300 and 5.9 s at order 400.
 _DERIVE_ORDER_MAX = 300
-# Measured: verify --all takes 11-16 s at n-max 1000 (30 MB peak RSS) and
-# 94-103 s at 2000 (58 MB); the cost grows as n^3.
+# Measured (CPython 3.11, 2 vCPUs): verify --all takes 3.6-4.3 s at n-max 1000
+# (28 MB peak RSS) and 22 s at 2000 (48 MB); the cost grows 5-6x per doubling.
 _VERIFY_N_MAX = 1000
 # Measured: the path-sum bindings take 1.8-2.3 s for 4000 terms, one pass over
 # full rows 0..4000; every such term prints under CPython's 4300-digit
@@ -145,9 +145,11 @@ def verify_cmd(
     """Sweep identities against their brute-force oracles."""
     if run_all == (name is not None):
         raise click.UsageError("pass exactly one of --identity NAME or --all")
-    names = sorted(identities.REGISTRY) if run_all else [name]
     try:
-        reports = [identities.verify(nm, n_max) for nm in names]
+        if run_all:
+            reports = identities.verify_all(n_max)
+        else:
+            reports = [identities.verify(name, n_max)]
     except (KeyError, ValueError) as exc:
         raise click.UsageError(str(exc.args[0])) from exc
     for report in reports:

@@ -16,6 +16,9 @@ Inverting the difference by telescoping rebuilds the path sum itself.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import count
+
 from .exactnum import binomial
 from .fibonacci import telescope
 from .paths import path_sums
@@ -66,6 +69,25 @@ def lambda_explicit(c: int, n: int) -> int:
     return sum(
         binomial(n - c + i * (1 - c), i) for i in range((n - c) // (c - 1) + 1)
     )
+
+
+def _lambda_stream(c: int) -> Iterator[int]:
+    """lambda_0(c), lambda_1(c), ... by the binomial sum of :func:`lambda_explicit`.
+
+    Term i is C(a, i) with a = n - c - i*(c - 1).  From n - 1 to n each
+    term moves to C(a, i) = C(a - 1, i) a/(a - i), an exact division, and
+    term i joins as C(i, i) = 1 when n - c = i*c, so no binomial is
+    computed afresh.
+    """
+    terms: list[int] = []
+    for n in count():
+        terms = [
+            t * a // (a - i)
+            for i, (t, a) in enumerate(zip(terms, range(n - c, 0, 1 - c)))
+        ]
+        if n - c == len(terms) * c:
+            terms.append(1)
+        yield sum(terms)
 
 
 def s2_reconstruct(c: int, n: int) -> int:

@@ -9,14 +9,28 @@ over the triangle on the other.  Every oracle is a forward stream of
 closed sides never call it, so agreement over a sweep is genuine
 evidence.
 
-Both sides are per-n.  Every oracle, and the closed sides that stream
-(``corollary1``'s recurrence over n and ``relB2diff``'s Pascal-rule
-:func:`~btriangles.triangle.rows`), is read through one
-:class:`~btriangles.triangle.Cursor` per side.
+Both sides are per-n.  The closed sides that stream (``corollary1``'s
+recurrence over n and ``relB2diff``'s Pascal-rule
+:func:`~btriangles.triangle.rows`) are each read through a
+:class:`~btriangles.triangle.Cursor`.  Oracles that read the same
+brute-force pass share one cursor, one per triangle family, order and
+index rate, and each reads its part through a
+:class:`~btriangles.triangle.View`: T_n of orders 1..10 (``theoremTm``,
+``resT2``, ``resT3``, ``T4closed``, ``T5closed``); T at (2p, 2p + 1) of
+orders 2..6 (``TmEven``, ``TmOdd``, ``T2even``, ``T2odd``); order-2 S
+along (c, 1 - c), c = 2..8, with its difference from twice the previous
+value (``corollary1``, ``theorem1``, ``S2diff``); and order-3 S-bar
+along (2, -1), likewise (``S3barClosed``, ``rel8``).  ``theoremS3`` and
+``relB2diff`` keep their own passes.  Nothing is cached: each cursor
+holds only its current value.
 
 :func:`verify` sweeps one record over an index range and reports every
-mismatch.  Multi-parameter families (a range of orders m or drops c)
-are single records whose sides return tuples, compared elementwise.
+mismatch.  :func:`verify_all` sweeps every record in one pass over n,
+with the records in name order inside it, so the records of a shared
+pass read it at the same n and it is built once; each report's elapsed
+time is that record's own calls.  Multi-parameter families (a range of
+orders m or drops c) are single records whose sides return tuples,
+compared elementwise.
 """
 
 from __future__ import annotations
@@ -25,21 +39,23 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain
+from operator import itemgetter
 
 from . import bruteforce
 from .exactnum import pow2
 from .fibonacci import fib
-from .gfib import lambda_explicit
+from .gfib import _lambda_stream
 from .paths import path_sums, sum_Sbar
 from .polyderive import QRPair, RatPolynomial, qr_closed, tm_closed
-from .triangle import Cursor, rows
+from .triangle import Cursor, View, rows
 
 __all__ = [
     "IdentityRecord",
     "VerifyReport",
     "REGISTRY",
     "verify",
+    "verify_all",
     "sbar31",
     "sbar41",
     "sbar31diff3",
@@ -102,11 +118,35 @@ _TM_ORDERS = range(1, 11)
 
 def _corollary1_closed() -> Iterator[tuple[int, ...]]:
     # S2_n(c, 1 - c) rebuilt from its defining difference lambda_n(c):
-    # u_0 = 1 and u_n = 2 u_(n-1) + lambda_n(c), one lambda per (c, n).
+    # u_0 = 1 and u_n = 2 u_(n-1) + lambda_n(c), lambda streamed per drop c.
     sums = (1,) * len(_DROPS)
-    for n in count(1):
+    lambdas = zip(*map(_lambda_stream, _DROPS))
+    next(lambdas)  # lambda_0(c), before u_0
+    for at_n in lambdas:
         yield sums
-        sums = tuple(2 * u + lambda_explicit(c, n) for u, c in zip(sums, _DROPS))
+        sums = tuple(2 * u + lam for u, lam in zip(sums, at_n))
+
+
+def _even_odd(stream: Iterator) -> Iterator[tuple]:
+    # (u_2p, u_2p+1) for p = 0, 1, 2, ...
+    return zip(stream, stream)
+
+
+# The shared oracle passes.  Values: T_n of orders 1..10; the pair
+# (T_2p, T_2p+1) of orders 2..6; and (sums, sums - 2 * previous sums) over
+# the order-2 S paths and the order-3 S-bar path.
+_T_PASS = Cursor(lambda: bruteforce.t_sums(_TM_ORDERS))
+_T_EVEN_ODD = Cursor(lambda: _even_odd(bruteforce.t_sums(_T_ORDERS)))
+_S2_PASS = Cursor(
+    lambda: bruteforce.with_minus_twice_previous(
+        bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS])
+    )
+)
+_SBAR3_PASS = Cursor(
+    lambda: bruteforce.with_minus_twice_previous(
+        bruteforce.s_sums(3, [(2, -1)], True)
+    )
+)
 
 
 REGISTRY: dict[str, IdentityRecord] = {
@@ -115,18 +155,14 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "theorem1",
             lambda n: pow2(n + 1) - fib(n + 2),
-            Cursor(lambda: bruteforce.one(bruteforce.s_sums(2, [(2, -1)]))),
+            View(_S2_PASS, lambda v: v[0][0]),
             0,
             "order-2 diagonal path sum S_n(2,-1) = 2^(n+1) - F_(n+2)",
         ),
         IdentityRecord(
             "S2diff",
             lambda n: fib(n - 1),
-            Cursor(
-                lambda: bruteforce.minus_twice_previous(
-                    bruteforce.one(bruteforce.s_sums(2, [(2, -1)]))
-                )
-            ),
+            View(_S2_PASS, lambda v: v[1][0]),
             1,
             "difference of consecutive order-2 path sums is Fibonacci",
         ),
@@ -142,46 +178,42 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "corollary1",
             Cursor(_corollary1_closed),
-            Cursor(lambda: bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS])),
+            View(_S2_PASS, itemgetter(0)),
             0,
             "path-sum reconstruction from the explicit lambda expansion, c in [2,8]",
         ),
         IdentityRecord(
             "T2even",
             lambda p: tm_closed(2, 2 * p - 1) + fib(2 * p + 1),
-            Cursor(lambda: islice(bruteforce.one(bruteforce.t_sums([2])), 0, None, 2)),
+            View(_T_EVEN_ODD, lambda v: v[0][0]),
             1,
             "even-index order-2 T recurrence with Fibonacci increment",
         ),
         IdentityRecord(
             "T2odd",
             lambda p: tm_closed(2, 2 * p) + tm_closed(2, 2 * p - 1),
-            Cursor(lambda: islice(bruteforce.one(bruteforce.t_sums([2])), 1, None, 2)),
+            View(_T_EVEN_ODD, lambda v: v[1][0]),
             1,
             "odd-index order-2 T recurrence",
         ),
         IdentityRecord(
             "resT2",
             lambda n: qr_closed(_PRINTED_QR[2], n),
-            Cursor(lambda: bruteforce.one(bruteforce.t_sums([2]))),
+            View(_T_PASS, itemgetter(1)),
             0,
             "order-2 T path sum closed form",
         ),
         IdentityRecord(
             "rel8",
             lambda n: fib(n),
-            Cursor(
-                lambda: bruteforce.minus_twice_previous(
-                    bruteforce.one(bruteforce.s_sums(3, [(2, -1)], True))
-                )
-            ),
+            View(_SBAR3_PASS, lambda v: v[1][0]),
             1,
             "difference of consecutive order-3 complementary sums is Fibonacci",
         ),
         IdentityRecord(
             "S3barClosed",
             lambda n: 3 * pow2(n) - fib(n + 3),
-            Cursor(lambda: bruteforce.one(bruteforce.s_sums(3, [(2, -1)], True))),
+            View(_SBAR3_PASS, lambda v: v[0][0]),
             0,
             "order-3 complementary path sum closed form",
         ),
@@ -197,7 +229,7 @@ REGISTRY: dict[str, IdentityRecord] = {
             lambda p: tuple(
                 tm_closed(m, 2 * p) + tm_closed(m, 2 * p - 1) for m in _T_ORDERS
             ),
-            Cursor(lambda: islice(bruteforce.t_sums(_T_ORDERS), 1, None, 2)),
+            View(_T_EVEN_ODD, itemgetter(1)),
             1,
             "odd-index T recurrence, orders 2..6",
         ),
@@ -206,40 +238,66 @@ REGISTRY: dict[str, IdentityRecord] = {
             lambda p: tuple(
                 tm_closed(m, 2 * p - 1) + tm_closed(m - 1, 2 * p) for m in _T_ORDERS
             ),
-            Cursor(lambda: islice(bruteforce.t_sums(_T_ORDERS), 0, None, 2)),
+            View(_T_EVEN_ODD, itemgetter(0)),
             1,
             "even-index T recurrence dropping one order, orders 2..6",
         ),
         IdentityRecord(
             "resT3",
             lambda n: qr_closed(_PRINTED_QR[3], n),
-            Cursor(lambda: bruteforce.one(bruteforce.t_sums([3]))),
+            View(_T_PASS, itemgetter(2)),
             0,
             "order-3 T path sum closed form with rational halves",
         ),
         IdentityRecord(
             "T4closed",
             lambda n: qr_closed(_PRINTED_QR[4], n),
-            Cursor(lambda: bruteforce.one(bruteforce.t_sums([4]))),
+            View(_T_PASS, itemgetter(3)),
             0,
             "order-4 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "T5closed",
             lambda n: qr_closed(_PRINTED_QR[5], n),
-            Cursor(lambda: bruteforce.one(bruteforce.t_sums([5]))),
+            View(_T_PASS, itemgetter(4)),
             0,
             "order-5 T path sum closed form, fixed printed coefficients",
         ),
         IdentityRecord(
             "theoremTm",
             lambda n: tuple(tm_closed(m, n) for m in _TM_ORDERS),
-            Cursor(lambda: bruteforce.t_sums(_TM_ORDERS)),
+            _T_PASS,
             0,
             "derived polynomial closed form for T path sums, orders 1..10",
         ),
     ]
 }
+
+
+def _sweep(records: list[IdentityRecord], n_max: int) -> list[VerifyReport]:
+    # One pass over n with the records inside it, so records whose oracles
+    # view one shared cursor read it at the same n and advance it once.
+    for rec in records:
+        if n_max < rec.valid_from:
+            raise ValueError(
+                f"{rec.name} needs n_max >= {rec.valid_from}, got {n_max}"
+            )
+    failures: list[list[tuple[int, object, object]]] = [[] for _ in records]
+    elapsed = [0.0] * len(records)
+    for n in range(min(rec.valid_from for rec in records), n_max + 1):
+        for i, rec in enumerate(records):
+            if n < rec.valid_from:
+                continue
+            started = time.perf_counter()
+            closed = rec.closed_form(n)
+            oracle = rec.oracle(n)
+            elapsed[i] += time.perf_counter() - started
+            if closed != oracle:
+                failures[i].append((n, closed, oracle))
+    return [
+        VerifyReport(rec.name, rec.valid_from, n_max, tuple(fails), secs)
+        for rec, fails, secs in zip(records, failures, elapsed)
+    ]
 
 
 def verify(name: str, n_max: int) -> VerifyReport:
@@ -250,19 +308,16 @@ def verify(name: str, n_max: int) -> VerifyReport:
         raise KeyError(
             f"unknown identity {name!r}; known: {', '.join(sorted(REGISTRY))}"
         ) from None
-    if n_max < rec.valid_from:
-        raise ValueError(
-            f"{name} needs n_max >= {rec.valid_from}, got {n_max}"
-        )
-    started = time.perf_counter()
-    failures = []
-    for n in range(rec.valid_from, n_max + 1):
-        closed = rec.closed_form(n)
-        oracle = rec.oracle(n)
-        if closed != oracle:
-            failures.append((n, closed, oracle))
-    elapsed = time.perf_counter() - started
-    return VerifyReport(name, rec.valid_from, n_max, tuple(failures), elapsed)
+    return _sweep([rec], n_max)[0]
+
+
+def verify_all(n_max: int) -> list[VerifyReport]:
+    """Sweep every registered identity, in name order, in one pass over n.
+
+    Equal to ``[verify(name, n_max) for name in sorted(REGISTRY)]``; a
+    record whose valid_from exceeds n_max raises before any work.
+    """
+    return _sweep([REGISTRY[name] for name in sorted(REGISTRY)], n_max)
 
 
 # Sequence generators without closed forms, so they live outside REGISTRY.

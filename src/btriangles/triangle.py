@@ -8,7 +8,8 @@ form, so no row reads a lower order.  :func:`step` is that rule, over a
 window of columns, for both :func:`rows` and the path walks of
 :mod:`btriangles.paths`.  :class:`Cursor`, the package's one
 per-n view of a forward stream, serves :class:`TriangleStore` and the
-identity registry.
+identity registry, where a :class:`View` reads one part of a cursor
+that several records share.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import partial
 from itertools import count
 from operator import add
 
-__all__ = ["Cursor", "TriangleStore", "rows", "step"]
+__all__ = ["Cursor", "View", "TriangleStore", "rows", "step"]
 
 
 class Cursor:
@@ -49,6 +50,24 @@ class Cursor:
                 self._at += 1
             self._stream = stream
             return self._value
+
+
+class View:
+    """Per-n view of one part of a shared :class:`Cursor`: ``view(n)`` is
+    ``pick(cursor(n))``.
+
+    Views read at the same n share one advance of the cursor's stream.
+    ``start()`` is a fresh stream of the view's own values.
+    """
+
+    def __init__(self, cursor: Cursor, pick: Callable) -> None:
+        self.cursor, self.pick = cursor, pick
+
+    def __call__(self, n: int):
+        return self.pick(self.cursor(n))
+
+    def start(self) -> Iterator:
+        return map(self.pick, self.cursor.start())
 
 
 def step(m: int, r: int, prev: Sequence[int], lo: int, hi: int) -> tuple[int, ...]:

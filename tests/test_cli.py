@@ -238,10 +238,11 @@ def test_verify_failure_exits_one(monkeypatch):
 
 
 def test_verify_n_max_above_limit_is_usage_error(monkeypatch):
-    def no_work(name, n_max):
+    def no_work(*args):
         raise AssertionError("sweep run for a rejected request")
 
     monkeypatch.setattr(cli.identities, "verify", no_work)
+    monkeypatch.setattr(cli.identities, "verify_all", no_work)
     for args in (("--all",), ("--identity", "theorem1")):
         result = invoke("verify", *args, "--n-max", str(_VERIFY_N_MAX + 1))
         assert result.exit_code == 2

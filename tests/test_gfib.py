@@ -1,9 +1,12 @@
+from itertools import islice
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from btriangles.fibonacci import fib
 from btriangles.gfib import (
+    _lambda_stream,
     lambda_diff,
     lambda_explicit,
     lambda_rec,
@@ -63,6 +66,12 @@ def test_recurrence_property(c, n):
         assert lambda_rec(c, n) == 1
     else:
         assert lambda_rec(c, n) == lambda_rec(c, n - 1) + lambda_rec(c, n - c)
+
+
+@given(st.integers(2, 8), st.integers(0, 200))
+def test_lambda_stream_matches_the_explicit_sum(c, n):
+    expected = [lambda_explicit(c, k) for k in range(n + 1)]
+    assert list(islice(_lambda_stream(c), n + 1)) == expected
 
 
 def test_reconstruction_frozen_values():

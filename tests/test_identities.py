@@ -5,7 +5,7 @@ import tracemalloc
 from itertools import count, islice
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -23,6 +23,7 @@ from btriangles.identities import (
     sbar31diff3,
     sbar41,
     verify,
+    verify_all,
 )
 from btriangles.oeis import BINDINGS, load_snapshot
 from btriangles.paths import path_sums
@@ -221,15 +222,74 @@ def test_closed_sides_in_any_order_match_the_per_n_routes(name, data):
         assert rec.closed_form(n) == expected, n
 
 
-@given(st.sampled_from(sorted(EXPECTED_NAMES)), st.data())
-def test_oracle_calls_in_any_order_match_a_fresh_sweep(name, data):
-    rec = REGISTRY[name]
-    fresh = Cursor(rec.oracle.start)
-    expected = {n: fresh(n) for n in range(rec.valid_from, 41)}
-    calls = data.draw(st.lists(st.integers(rec.valid_from, 40), max_size=20))
-    for n in calls:
-        assert rec.oracle(n) == expected[n], n
-        assert rec.oracle(n) == expected[n], n
+def _shared_passes():
+    # Record names grouped by the cursor their oracles read.
+    passes = {}
+    for name, rec in sorted(REGISTRY.items()):
+        cursor = getattr(rec.oracle, "cursor", rec.oracle)
+        passes.setdefault(id(cursor), []).append(name)
+    return list(passes.values())
+
+
+@given(st.sampled_from(_shared_passes()), st.data())
+def test_oracle_calls_in_any_order_match_a_fresh_sweep(names, data):
+    # Calls interleave the records of one shared pass at any n.
+    expected = {}
+    for name in names:
+        rec = REGISTRY[name]
+        fresh = Cursor(rec.oracle.start)
+        expected[name] = {n: fresh(n) for n in range(rec.valid_from, 41)}
+    calls = data.draw(
+        st.lists(
+            st.sampled_from(names).flatmap(
+                lambda name: st.tuples(
+                    st.just(name), st.integers(REGISTRY[name].valid_from, 40)
+                )
+            ),
+            max_size=30,
+        )
+    )
+    for name, n in calls:
+        assert REGISTRY[name].oracle(n) == expected[name][n], (name, n)
+        assert REGISTRY[name].oracle(n) == expected[name][n], (name, n)
+
+
+def test_verify_all_starts_each_shared_pass_once(monkeypatch):
+    verify_all(30)
+    starts = []
+    for name in ("t_sums", "s_sums", "cell_minus_twice_upper_left"):
+        route = getattr(bruteforce, name)
+
+        def counted(*args, name=name, route=route):
+            starts.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(bruteforce, name, counted)
+    # Every pass restarts once, at its first n, however many records view it.
+    assert all(report.ok for report in verify_all(30))
+    assert sorted(starts) == sorted(
+        ["t_sums"] * 2 + ["s_sums"] * 3 + ["cell_minus_twice_upper_left"]
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 60))
+def test_lockstep_sweep_matches_per_name_verify(n_max):
+    bogus = IdentityRecord(
+        "bogus", lambda n: n * n, lambda n: n * n + (n % 7 == 3), 0, "negative control"
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(REGISTRY, "bogus", bogus)
+        together = verify_all(n_max)
+        apart = [verify(name, n_max) for name in sorted(REGISTRY)]
+    fields = [
+        [(r.name, r.start, r.stop, r.failures) for r in reports]
+        for reports in (together, apart)
+    ]
+    assert fields[0] == fields[1]
+    assert [r.name for r in together] == sorted(EXPECTED_NAMES | {"bogus"})
+    failed = {r.name: r.failures[:1] for r in together if r.failures}
+    assert failed == ({"bogus": ((3, 9, 10),)} if n_max >= 3 else {})
 
 
 def test_oracle_rejects_negative_index():
@@ -255,8 +315,11 @@ def test_unknown_name_raises():
 
 
 def test_n_max_below_valid_from_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^S2diff needs n_max >= 1, got 0$"):
         verify("S2diff", 0)
+    # The lockstep sweep checks every record before any work, in name order.
+    with pytest.raises(ValueError, match="^S2diff needs n_max >= 1, got 0$"):
+        verify_all(0)
 
 
 def test_report_summary_formats():

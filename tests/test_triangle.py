@@ -164,12 +164,14 @@ def test_store_rows_in_any_order_match_bruteforce(reads):
 def test_a_stream_that_raised_restarts_on_the_next_call(monkeypatch):
     # An interrupt mid-advance must not leave a dead stream held, which
     # would make every later call at or past its index raise StopIteration.
-    oracle = REGISTRY["theorem1"].oracle
-    expected = [oracle(n) for n in range(8)]
-    one, diagonal = bruteforce.one, triangle._diagonal
+    # theorem1 and S2diff view one shared oracle cursor; both must recover.
+    views = [REGISTRY[name].oracle for name in ("theorem1", "S2diff")]
+    assert views[0].cursor is views[1].cursor
+    expected = [[view(n) for n in range(8)] for view in views]
+    s_sums, diagonal = bruteforce.s_sums, triangle._diagonal
 
-    def interrupted_one(stream):
-        yield from islice(one(stream), 3)
+    def interrupted_s_sums(*args):
+        yield from islice(s_sums(*args), 3)
         raise KeyboardInterrupt
 
     def interrupted_diagonal(m, n):
@@ -177,15 +179,17 @@ def test_a_stream_that_raised_restarts_on_the_next_call(monkeypatch):
             raise KeyboardInterrupt
         return diagonal(m, n)
 
-    monkeypatch.setattr(bruteforce, "one", interrupted_one)
+    monkeypatch.setattr(bruteforce, "s_sums", interrupted_s_sums)
     monkeypatch.setattr(triangle, "_diagonal", interrupted_diagonal)
     store = TriangleStore()
-    with pytest.raises(KeyboardInterrupt):
-        oracle(5)
+    for view in views:
+        with pytest.raises(KeyboardInterrupt):
+            view(5)
     with pytest.raises(KeyboardInterrupt):
         store.row(2, 5)
     monkeypatch.undo()
-    assert oracle(6) == expected[6]
+    assert views[1](6) == expected[1][6]
+    assert views[0](7) == expected[0][7]
     assert store.row(2, 6) == (1, 7, 22, 42, 57, 63, 64)
 
 
