@@ -7,10 +7,11 @@ order m - 1.  Nothing steps between rows by the Pascal rule, nothing is
 cached, and nothing is imported from the rest of the package, so the
 closed forms checked against this route share none of its code.  S-path
 streams take one pass over fresh rows and add every cell to the pending
-sums of the paths through it.  T-path streams hold anti-diagonal n, the
-cells (n - k, k) that T_n sums, and move each cell one column along its
-row to reach anti-diagonal n + 1.  A sweep to n holds O(n) numbers per
-order.
+sums of the paths through it; one pass yields S, its complement S-bar
+and the differences of both from twice their previous values.  T-path
+streams hold anti-diagonal n, the cells (n - k, k) that T_n sums, and
+move each cell one column along its row to reach anti-diagonal n + 1.
+A sweep to n holds O(n) numbers per order.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "cell_bruteforce",
     "t_sums",
     "s_sums",
-    "one",
-    "with_minus_twice_previous",
     "cell_minus_twice_upper_left",
 ]
 
@@ -91,28 +90,19 @@ def t_sums(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def s_sums(
-    m: int, steps: Sequence[tuple[int, int]], complement: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """S_n of order m along each (c, l) with c + l >= 1, or with ``complement``
-    its complement 2*cell(n, n) - S_n, for n = 0, 1, 2, ..."""
+    m: int, steps: Sequence[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(u_n, u_n - 2 u_(n-1)) elementwise for n = 0, 1, 2, ..., with u_(-1) = 0.
+
+    u_n holds S_n of order m along each (c, l) with c + l >= 1, followed by
+    each complement 2*cell(n, n) - S_n, in the order of ``steps``.
+    """
     # Cell (r, r - k(c + l)) is step k of the path from (r + k|l|, r + k|l|).
     pending: list[list[int]] = [[] for _ in steps]
-    for r, row in enumerate(_rows(m)):
-        sums = (_feed(p, row[r :: -(c + l)], -l) for p, (c, l) in zip(pending, steps))
-        yield tuple(2 * row[r] - s for s in sums) if complement else tuple(sums)
-
-
-def one(stream: Iterator[tuple[int, ...]]) -> Iterator[int]:
-    """The values of a stream of 1-tuples."""
-    return (only for (only,) in stream)
-
-
-def with_minus_twice_previous(
-    stream: Iterator[tuple[int, ...]],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(u_n, u_n - 2 u_(n-1)) for a stream u of tuples, elementwise, with u_(-1) = 0."""
     previous: Iterable[int] = repeat(0)
-    for value in stream:
+    for r, row in enumerate(_rows(m)):
+        sums = [_feed(p, row[r :: -(c + l)], -l) for p, (c, l) in zip(pending, steps)]
+        value = (*sums, *(2 * row[r] - s for s in sums))
         yield value, tuple(v - 2 * p for v, p in zip(value, previous))
         previous = value
 

@@ -3,7 +3,8 @@
 One subcommand per capability: triangle rows, path sums, the lambda
 sequences, identity verification sweeps, polynomial derivation,
 sequence export, and b-file cross-checks.  Exit codes: 0 success,
-1 verification or cross-check failure, 2 usage errors.
+1 verification or cross-check failure or a b-file that cannot be
+fetched or written, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -194,7 +195,10 @@ def sequence_cmd(oeis_id: str, count: int, bfile: str | None) -> None:
             for value in oeis.terms(oeis_id, count):
                 click.echo(str(value))
         else:
-            oeis.export_bfile(oeis_id, count, bfile)
+            try:
+                oeis.export_bfile(oeis_id, count, bfile)
+            except OSError as exc:
+                raise click.FileError(bfile, hint=exc.strerror) from exc
     except (KeyError, ValueError) as exc:
         raise click.UsageError(str(exc.args[0])) from exc
 

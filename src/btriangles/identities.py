@@ -17,11 +17,12 @@ brute-force pass share one cursor, one per triangle family, order and
 index rate, and each reads its part through a
 :class:`~btriangles.triangle.View`: T_n of orders 1..10 (``theoremTm``,
 ``resT2``, ``resT3``, ``T4closed``, ``T5closed``); T at (2p, 2p + 1) of
-orders 2..6 (``TmEven``, ``TmOdd``, ``T2even``, ``T2odd``); order-2 S
-along (c, 1 - c), c = 2..8, with its difference from twice the previous
-value (``corollary1``, ``theorem1``, ``S2diff``); and order-3 S-bar
-along (2, -1), likewise (``S3barClosed``, ``rel8``).  ``theoremS3`` and
-``relB2diff`` keep their own passes.  Nothing is cached: each cursor
+orders 2..6 (``TmEven``, ``TmOdd``, ``T2even``, ``T2odd``); and the S
+passes, which yield S and S-bar with their differences from twice the
+previous values: order 2 along (c, 1 - c), c = 2..8 (``corollary1``,
+``theorem1``, ``S2diff``), and order 3 along (2, -1) (``theoremS3``,
+``S3barClosed``, ``rel8``).  Only ``relB2diff`` keeps its own pass, as
+its oracle reads whole rows n and n - 1.  Nothing is cached: each cursor
 holds only its current value.
 
 :func:`verify` sweeps one record over an index range and reports every
@@ -133,20 +134,15 @@ def _even_odd(stream: Iterator) -> Iterator[tuple]:
 
 
 # The shared oracle passes.  Values: T_n of orders 1..10; the pair
-# (T_2p, T_2p+1) of orders 2..6; and (sums, sums - 2 * previous sums) over
-# the order-2 S paths and the order-3 S-bar path.
+# (T_2p, T_2p+1) of orders 2..6; and (S then S-bar sums, their differences
+# from twice the previous ones) over the order-2 paths along (c, 1 - c) and
+# the order-3 path along (2, -1).  relB2diff keeps its own order-2 pass: its
+# oracle needs whole rows, and an S pass that yielded them would compute
+# row differences at order 3 that nothing reads.
 _T_PASS = Cursor(lambda: bruteforce.t_sums(_TM_ORDERS))
 _T_EVEN_ODD = Cursor(lambda: _even_odd(bruteforce.t_sums(_T_ORDERS)))
-_S2_PASS = Cursor(
-    lambda: bruteforce.with_minus_twice_previous(
-        bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS])
-    )
-)
-_SBAR3_PASS = Cursor(
-    lambda: bruteforce.with_minus_twice_previous(
-        bruteforce.s_sums(3, [(2, -1)], True)
-    )
-)
+_S2_PASS = Cursor(lambda: bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS]))
+_S3_PASS = Cursor(lambda: bruteforce.s_sums(3, [(2, -1)]))
 
 
 REGISTRY: dict[str, IdentityRecord] = {
@@ -178,7 +174,7 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "corollary1",
             Cursor(_corollary1_closed),
-            View(_S2_PASS, itemgetter(0)),
+            View(_S2_PASS, lambda v: v[0][: len(_DROPS)]),
             0,
             "path-sum reconstruction from the explicit lambda expansion, c in [2,8]",
         ),
@@ -206,21 +202,21 @@ REGISTRY: dict[str, IdentityRecord] = {
         IdentityRecord(
             "rel8",
             lambda n: fib(n),
-            View(_SBAR3_PASS, lambda v: v[1][0]),
+            View(_S3_PASS, lambda v: v[1][1]),
             1,
             "difference of consecutive order-3 complementary sums is Fibonacci",
         ),
         IdentityRecord(
             "S3barClosed",
             lambda n: 3 * pow2(n) - fib(n + 3),
-            View(_SBAR3_PASS, lambda v: v[0][0]),
+            View(_S3_PASS, lambda v: v[0][1]),
             0,
             "order-3 complementary path sum closed form",
         ),
         IdentityRecord(
             "theoremS3",
             lambda n: fib(n + 3) + (n - 1) * pow2(n),
-            Cursor(lambda: bruteforce.one(bruteforce.s_sums(3, [(2, -1)]))),
+            View(_S3_PASS, lambda v: v[0][0]),
             0,
             "order-3 diagonal path sum S_n(2,-1) closed form",
         ),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .triangle import TriangleStore, step
+from .triangle import TriangleStore, rows, step
 
 __all__ = [
     "InvalidPathSpec",
@@ -146,9 +146,7 @@ def path_sums(m: int, c: int, l: int, family: str, N: int) -> list[int]:
     PathSpec(m, c, l, family, N)
     drop = c if family == "T" else c + l
     sums = [0] * (N + 1)
-    store = TriangleStore()
-    for r in range(N + 1):
-        row = store.row(m, r)
+    for r, row in zip(range(N + 1), rows(m)):
         col = 0 if family == "T" else r
         for n in range(r, N + 1, -l):
             if not 0 <= col <= r:

@@ -1,4 +1,9 @@
+import urllib.error
+import urllib.request
+
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from btriangles import cli
 from btriangles.cli import (
@@ -15,6 +20,7 @@ from btriangles.cli import (
 )
 from btriangles.fibonacci import fib
 from btriangles.identities import REGISTRY, IdentityRecord
+from btriangles.oeis import BINDINGS
 from btriangles.triangle import TriangleStore
 
 
@@ -297,6 +303,18 @@ def test_sequence_exports_bfile(tmp_path):
     assert path.read_text() == "0 0\n1 1\n2 1\n"
 
 
+def test_sequence_unwritable_bfile_exits_one(tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    result = invoke(
+        "sequence", "--id", "A000045", "--terms", "3", "--bfile", str(path)
+    )
+    assert result.exit_code == 1
+    assert result.output.startswith("Error:")
+    assert str(path) in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not path.exists()
+
+
 def test_sequence_terms_above_limit_is_usage_error(monkeypatch, tmp_path):
     def no_work(*args):
         raise AssertionError("terms computed for a rejected request")
@@ -398,3 +416,83 @@ def test_oeis_check_bad_online_bfile_exits_one(tmp_path, monkeypatch):
     malformed = invoke("oeis-check", "--id", "A000045", "--terms", "5", "--online")
     assert malformed.exit_code == 1
     assert "non-integer field" in malformed.output
+
+
+def _int(small, limit=None):
+    # A small valid value, or an IntRange edge from outside: limit + 1, 0, -1.
+    edges = [0, -1] if limit is None else [limit + 1, 0, -1]
+    return st.one_of(st.integers(*small), st.sampled_from(edges)).map(str)
+
+
+_IDS = st.sampled_from(
+    [*sorted(BINDINGS), "A999999", "A12", "b000045", "", "A0000451"]
+)
+
+
+@st.composite
+def _cli_args(draw):
+    command = draw(st.sampled_from(
+        ["triangle", "pathsum", "lambda", "verify", "derive-poly", "sequence", "oeis-check"]
+    ))
+    args = [command]
+    if command == "triangle":
+        args += ["--order", draw(_int((1, 4), _TRIANGLE_ORDER_MAX))]
+        args += ["--rows", draw(_int((0, 6), _TRIANGLE_ROWS_MAX))]
+        args += ["--tsv"] * draw(st.booleans())
+    elif command == "pathsum":
+        args += ["--order", draw(_int((1, 4), _PATHSUM_ORDER_MAX))]
+        args += ["--family", draw(st.sampled_from(["S", "Sbar", "T", "U"]))]
+        args += ["--c", str(draw(st.integers(-3, 4)))]
+        args += ["--l", str(draw(st.integers(-3, 1)))]
+        args += ["--n", draw(_int((0, 12), _PATHSUM_N_MAX))]
+        args += ["--trace"] * draw(st.booleans())
+    elif command == "lambda":
+        args += ["--c", str(draw(st.integers(-1, 5)))]
+        args += ["--terms", draw(_int((1, 10), _LAMBDA_TERMS_MAX))]
+    elif command == "verify":
+        names = st.sampled_from([*sorted(REGISTRY), "thm99", ""])
+        args += ["--all"] * draw(st.booleans())
+        args += ["--identity", draw(names)] * draw(st.booleans())
+        args += ["--n-max", draw(_int((0, 12), _VERIFY_N_MAX))]
+    elif command == "derive-poly":
+        args += ["--order", draw(_int((1, 6), _DERIVE_ORDER_MAX))]
+    elif command == "sequence":
+        args += ["--id", draw(_IDS)]
+        args += ["--terms", draw(_int((1, 10), _SEQUENCE_TERMS_MAX))]
+        # b-file targets, named here and placed under tmp_path by the test.
+        target = draw(st.sampled_from([None, "file", "missing", "dir"]))
+        args += [] if target is None else ["--bfile", target]
+    else:
+        args += ["--all"] * draw(st.booleans())
+        args += ["--id", draw(_IDS)] * draw(st.booleans())
+        args += ["--terms", draw(_int((1, 10)))]
+        args += ["--online"] * draw(st.booleans())
+    return args
+
+
+# tmp_path and monkeypatch are shared by every example: each one applies the
+# same patches, and no example depends on what another wrote under tmp_path.
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(args=_cli_args())
+@example(args=["sequence", "--id", "A000045", "--terms", "3", "--bfile", "missing"])
+def test_cli_requests_exit_cleanly(tmp_path, monkeypatch, args):
+    # Every request ends in exit 0, 1 or 2, never in an uncaught exception.
+    def offline(*args, **kwargs):
+        raise urllib.error.URLError("offline")
+
+    monkeypatch.setattr(urllib.request, "urlopen", offline)
+    monkeypatch.setenv("BERNOULLI_CACHE_DIR", str(tmp_path / "cache"))
+    targets = {
+        "file": tmp_path / "out.txt",
+        "missing": tmp_path / "missing" / "x.txt",
+        "dir": tmp_path,
+    }
+    if "--bfile" in args:
+        i = args.index("--bfile") + 1
+        args[i] = str(targets[args[i]])
+    result = invoke(*args)
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args,
+        result.exception,
+    )
