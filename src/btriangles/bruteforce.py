@@ -8,7 +8,8 @@ cached, and nothing is imported from the rest of the package, so the
 closed forms checked against this route share none of its code.  S-path
 streams take one pass over fresh rows and add every cell to the pending
 sums of the paths through it; one pass yields S, its complement S-bar
-and the differences of both from twice their previous values.  T-path
+and the row reversed, with their differences from twice their previous
+values, which align each cell with its upper-left neighbour.  T-path
 streams hold anti-diagonal n, the cells (n - k, k) that T_n sums, and
 move each cell one column along its row to reach anti-diagonal n + 1.
 A sweep to n holds O(n) numbers per order.
@@ -16,16 +17,15 @@ A sweep to n holds O(n) numbers per order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import partial
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count
 from operator import add, floordiv, mul
 
 __all__ = [
     "cell_bruteforce",
     "t_sums",
     "s_sums",
-    "cell_minus_twice_upper_left",
 ]
 
 
@@ -94,22 +94,20 @@ def s_sums(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(u_n, u_n - 2 u_(n-1)) elementwise for n = 0, 1, 2, ..., with u_(-1) = 0.
 
-    u_n holds S_n of order m along each (c, l) with c + l >= 1, followed by
-    each complement 2*cell(n, n) - S_n, in the order of ``steps``.
+    u_n holds S_n of order m along each (c, l) with l <= -1 and c + l >= 1,
+    then each complement 2*cell(n, n) - S_n, in the order of ``steps``,
+    then row n from cell(n, n) down to cell(n, 0).  The difference stops
+    where u_(n-1) does, so its row part is cell(n, q) - 2*cell(n-1, q-1)
+    for q = n down to 1.  A step outside that domain raises ValueError.
     """
+    for c, l in steps:
+        if l > -1 or c + l < 1:
+            raise ValueError(f"S step ({c}, {l}) needs l <= -1 and c + l >= 1")
     # Cell (r, r - k(c + l)) is step k of the path from (r + k|l|, r + k|l|).
     pending: list[list[int]] = [[] for _ in steps]
-    previous: Iterable[int] = repeat(0)
+    previous = (0,) * (2 * len(steps))
     for r, row in enumerate(_rows(m)):
         sums = [_feed(p, row[r :: -(c + l)], -l) for p, (c, l) in zip(pending, steps)]
-        value = (*sums, *(2 * row[r] - s for s in sums))
+        value = (*sums, *(2 * row[r] - s for s in sums), *reversed(row))
         yield value, tuple(v - 2 * p for v, p in zip(value, previous))
         previous = value
-
-
-def cell_minus_twice_upper_left(m: int) -> Iterator[tuple[int, ...]]:
-    """cell(n, q) - 2*cell(n-1, q-1) of order m for q in 1..n, n = 0, 1, 2, ..."""
-    previous: list[int] = []
-    for row in _rows(m):
-        yield tuple(a - 2 * b for a, b in zip(row[1:], previous))
-        previous = row

@@ -18,18 +18,20 @@ index rate, and each reads its part through a
 :class:`~btriangles.triangle.View`: T_n of orders 1..10 (``theoremTm``,
 ``resT2``, ``resT3``, ``T4closed``, ``T5closed``); T at (2p, 2p + 1) of
 orders 2..6 (``TmEven``, ``TmOdd``, ``T2even``, ``T2odd``); and the S
-passes, which yield S and S-bar with their differences from twice the
-previous values: order 2 along (c, 1 - c), c = 2..8 (``corollary1``,
-``theorem1``, ``S2diff``), and order 3 along (2, -1) (``theoremS3``,
-``S3barClosed``, ``rel8``).  Only ``relB2diff`` keeps its own pass, as
-its oracle reads whole rows n and n - 1.  Nothing is cached: each cursor
-holds only its current value.
+passes, which yield S, S-bar and the row with their differences from
+twice the previous values: order 2 along (c, 1 - c), c = 2..8
+(``corollary1``, ``theorem1``, ``S2diff``, and ``relB2diff`` from the
+row differences), and order 3 along (2, -1) (``theoremS3``,
+``S3barClosed``, ``rel8``).  Nothing is cached: each cursor holds only
+its current value.
 
 :func:`verify` sweeps one record over an index range and reports every
 mismatch.  :func:`verify_all` sweeps every record in one pass over n,
 with the records in name order inside it, so the records of a shared
-pass read it at the same n and it is built once; each report's elapsed
-time is that record's own calls.  Multi-parameter families (a range of
+pass read it at the same n and it is built once.  Each report's elapsed
+time is that record's own calls, except that at each n the advance of a
+shared pass is charged to the first record in name order that reads it
+(``S2diff`` for the order-2 S pass).  Multi-parameter families (a range of
 orders m or drops c) are single records whose sides return tuples,
 compared elementwise.
 """
@@ -134,11 +136,10 @@ def _even_odd(stream: Iterator) -> Iterator[tuple]:
 
 
 # The shared oracle passes.  Values: T_n of orders 1..10; the pair
-# (T_2p, T_2p+1) of orders 2..6; and (S then S-bar sums, their differences
-# from twice the previous ones) over the order-2 paths along (c, 1 - c) and
-# the order-3 path along (2, -1).  relB2diff keeps its own order-2 pass: its
-# oracle needs whole rows, and an S pass that yielded them would compute
-# row differences at order 3 that nothing reads.
+# (T_2p, T_2p+1) of orders 2..6; and (S, S-bar, the row reversed; their
+# differences from twice the previous ones) over the order-2 paths along
+# (c, 1 - c) and the order-3 path along (2, -1).  Nothing reads the order-3
+# row differences.
 _T_PASS = Cursor(lambda: bruteforce.t_sums(_TM_ORDERS))
 _T_EVEN_ODD = Cursor(lambda: _even_odd(bruteforce.t_sums(_T_ORDERS)))
 _S2_PASS = Cursor(lambda: bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS]))
@@ -167,7 +168,7 @@ REGISTRY: dict[str, IdentityRecord] = {
             # C(n - 1, q) for q in 1..n, none at n = 0: Pascal's row n - 1 from
             # column 1.  Closed sides may use the Pascal rule; oracles never do.
             Cursor(lambda: chain([()], ((*row[1:], 0) for row in rows(1)))),
-            Cursor(lambda: bruteforce.cell_minus_twice_upper_left(2)),
+            View(_S2_PASS, lambda v: v[1][2 * len(_DROPS) :][::-1]),
             1,
             "cell minus twice its upper-left neighbour is binomial",
         ),

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 import sys
 import tracemalloc
 from itertools import count, islice
@@ -27,7 +28,7 @@ from btriangles.identities import (
 )
 from btriangles.oeis import BINDINGS, load_snapshot
 from btriangles.paths import path_sums
-from btriangles.triangle import Cursor
+from btriangles.triangle import Cursor, rows
 
 EXPECTED_NAMES = {
     "theorem1",
@@ -142,7 +143,7 @@ def _s_walk(m, c, l, n):
 @st.composite
 def _stream_cases(draw):
     # Several paths through one stream, as the registry's tuple records read
-    # them; an S stream yields the S-bar sums of the same paths too.
+    # them; an S stream yields the S-bar sums of the same paths and the row.
     kind = draw(st.sampled_from(("T", "S2", "S3")))
     if kind == "T":
         orders = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True))
@@ -157,12 +158,12 @@ def _stream_cases(draw):
 
 
 def _stream(family, paths):
-    # T_n of each order, or the S or the S-bar half of the S stream's sums.
+    # T_n of each order, or the S or the S-bar sums of the S stream.
     if family == "T":
         return bruteforce.t_sums([m for m, _, _ in paths])
     steps = [(c, l) for _, c, l in paths]
-    half = slice(None, len(steps)) if family == "S" else slice(len(steps), None)
-    return (sums[half] for sums, _ in bruteforce.s_sums(paths[0][0], steps))
+    part = slice(0, len(steps)) if family == "S" else slice(len(steps), 2 * len(steps))
+    return (sums[part] for sums, _ in bruteforce.s_sums(paths[0][0], steps))
 
 
 def _walk(m, c, l, family, n):
@@ -174,6 +175,7 @@ def _walk(m, c, l, family, n):
 
 @given(_stream_cases())
 @example(("S", [(3, 2, -1)], 60, 41))
+@example(("S", [(2, c, 1 - c) for c in range(2, 9)], 60, 41))
 def test_oracle_streams_match_path_sums_and_walks(case):
     kind, paths, N, n = case
     columns = []
@@ -186,10 +188,19 @@ def test_oracle_streams_match_path_sums_and_walks(case):
             columns.append(column)
     if kind == "S":
         # The difference half, u_n - 2 u_(n-1) with u_(-1) = 0, for every
-        # S sum and then every S-bar sum.
-        stream = bruteforce.s_sums(paths[0][0], [(c, l) for _, c, l in paths])
-        for k, (_, diffs) in enumerate(islice(stream, N + 1)):
-            assert diffs == tuple(u[k] - 2 * u[k - 1] if k else u[0] for u in columns), k
+        # S sum and then every S-bar sum.  Row n follows, reversed, and its
+        # differences stop with row n - 1: cell(n, q) - 2 cell(n-1, q-1)
+        # for q = n down to 1.  The rows come from the Pascal-rule route.
+        m, width = paths[0][0], 2 * len(paths)
+        stream = bruteforce.s_sums(m, [(c, l) for _, c, l in paths])
+        upper = ()
+        for k, ((value, diffs), row) in enumerate(zip(islice(stream, N + 1), rows(m))):
+            expected = tuple(u[k] - 2 * u[k - 1] if k else u[0] for u in columns)
+            assert diffs[:width] == expected, k
+            assert value[width:] == row[::-1], k
+            expected = tuple(row[q] - 2 * upper[q - 1] for q in range(k, 0, -1))
+            assert diffs[width:] == expected, k
+            upper = row
 
 
 def _row_by_row_t_sums(orders):
@@ -271,7 +282,7 @@ def test_oracle_calls_in_any_order_match_a_fresh_sweep(names, data):
 def test_verify_all_starts_each_shared_pass_once(monkeypatch):
     verify_all(30)
     starts = []
-    for name in ("t_sums", "s_sums", "cell_minus_twice_upper_left"):
+    for name in bruteforce.__all__:
         route = getattr(bruteforce, name)
 
         def counted(*args, name=name, route=route):
@@ -281,9 +292,7 @@ def test_verify_all_starts_each_shared_pass_once(monkeypatch):
         monkeypatch.setattr(bruteforce, name, counted)
     # Every pass restarts once, at its first n, however many records view it.
     assert all(report.ok for report in verify_all(30))
-    assert sorted(starts) == sorted(
-        ["t_sums"] * 2 + ["s_sums"] * 2 + ["cell_minus_twice_upper_left"]
-    )
+    assert sorted(starts) == ["s_sums"] * 2 + ["t_sums"] * 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -304,6 +313,13 @@ def test_lockstep_sweep_matches_per_name_verify(n_max):
     assert [r.name for r in together] == sorted(EXPECTED_NAMES | {"bogus"})
     failed = {r.name: r.failures[:1] for r in together if r.failures}
     assert failed == ({"bogus": ((3, 9, 10),)} if n_max >= 3 else {})
+
+
+@pytest.mark.parametrize("step", [(1, -2), (3, 1), (2, -2)])
+def test_s_stream_rejects_a_step_outside_its_domain(step):
+    # The S oracle covers l <= -1 and c + l >= 1 only.
+    with pytest.raises(ValueError, match=re.escape(f"S step {step}")):
+        next(bruteforce.s_sums(2, [(2, -1), step]))
 
 
 def test_oracle_rejects_negative_index():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +223,21 @@ def test_snapshot_headers_carry_provenance():
         head = path.read_text().splitlines()[:2]
         assert head[0].startswith("#")
         assert "rule:" in head[1]
+
+
+def test_snapshots_rebuild_byte_identical_from_the_script(tmp_path):
+    # The snapshots claim to be reproducible from the generator script alone.
+    script = Path(__file__).resolve().parents[1] / "tools" / "make_bfile_snapshots.py"
+    subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path)],
+        check=True,
+        capture_output=True,
+    )
+    bundled = Path(btriangles.__file__).parent / "data" / "bfiles"
+    names = sorted(path.name for path in bundled.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
 
 
 def test_crosscheck_online_flag_reads_cache(tmp_path):
