@@ -42,14 +42,18 @@ def _row(m: int, n: int) -> list[int]:
     return row
 
 
+def _check_order(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"triangle order must be >= 1, got {m}")
+
+
 def cell_bruteforce(m: int, n: int, k: int) -> int:
     """Entry (n, k) of the order-m triangle by direct nested summation.
 
     Oracle counterpart of :meth:`~btriangles.triangle.TriangleStore.cell`;
     rejects columns outside 0..n instead of returning 0.
     """
-    if m < 1:
-        raise ValueError(f"triangle order must be >= 1, got {m}")
+    _check_order(m)
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
     if not 0 <= k <= n:
@@ -72,7 +76,10 @@ def _feed(pending: list[int], cells: list[int], step: int) -> int:
 
 
 def t_sums(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """T_n along (-1, -1) for each of the orders, n = 0, 1, 2, ..."""
+    """T_n along (-1, -1) for each of the orders, n = 0, 1, 2, ...
+
+    An order below 1 raises ValueError.
+    """
     # T_n sums anti-diagonal n, the cells (n - k, k) for k <= n/2.
     # levels[j - 1][k] holds cell (n - k, k) of order j.  From n to n + 1
     # each cell moves one column along its own row r = n - k: order 1 by
@@ -80,6 +87,7 @@ def t_sums(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
     # the new cell (the prefix-sum definition).  Row n + 1 enters at
     # column 0; range(n, 0, -2) runs out before k = n/2, whose row ends at
     # that column, so the row leaves.
+    _check_order(min(orders))
     levels = [[1] for _ in range(max(orders))]
     for n in count():
         yield tuple(sum(levels[m - 1]) for m in orders)
@@ -98,8 +106,10 @@ def s_sums(
     then each complement 2*cell(n, n) - S_n, in the order of ``steps``,
     then row n from cell(n, n) down to cell(n, 0).  The difference stops
     where u_(n-1) does, so its row part is cell(n, q) - 2*cell(n-1, q-1)
-    for q = n down to 1.  A step outside that domain raises ValueError.
+    for q = n down to 1.  A step outside that domain, or m < 1, raises
+    ValueError.
     """
+    _check_order(m)
     for c, l in steps:
         if l > -1 or c + l < 1:
             raise ValueError(f"S step ({c}, {l}) needs l <= -1 and c + l >= 1")

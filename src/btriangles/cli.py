@@ -39,8 +39,11 @@ _PATHSUM_N_MAX = 4000
 _PATHSUM_ORDER_MAX = 1200
 # lambda grows fastest at c = 2: lambda_20579(2) is over CPython's int-to-str limit.
 _LAMBDA_TERMS_MAX = 20000
-# Measured: derive-poly takes 2.5 s at order 300 and 5.9 s at order 400.
-_DERIVE_ORDER_MAX = 300
+# Measured (CPython 3.11, 2 vCPUs): derive-poly, derivation and printing, takes
+# 1.1 s at order 800, 2.0 s at order 1000, 2.6 s at 1100 and 3.2 s at 1200. The
+# largest numerator or denominator printed at order 1000 has 2863 digits, under
+# CPython's 4300-digit int-to-str limit.
+_DERIVE_ORDER_MAX = 1000
 # Measured (CPython 3.11, 2 vCPUs): verify --all takes 3.6-4.3 s at n-max 1000
 # (28 MB peak RSS) and 22 s at 2000 (48 MB); the cost grows 5-6x per doubling.
 _VERIFY_N_MAX = 1000

@@ -15,8 +15,10 @@ with A the discrete sum of Q + R and base case Q = R = 0 at order 1.
 The induction holds Q and R in the binomial (Newton) basis C(p, j),
 where the discrete sum is a coefficient shift by the hockey-stick
 identity sum_{k<x} C(k, j) = C(x, j+1) (Graham, Knuth and Patashnik,
-*Concrete Mathematics*, section 2.6).  :class:`RatPolynomial` keeps
-monomial coefficients.
+*Concrete Mathematics*, section 2.6).  It runs in integers, on
+2^(order-1) Q and 2^(order-1) R; the expansion into monomials runs in
+integers too, and only its output becomes one Fraction per coefficient.
+:class:`RatPolynomial` keeps monomial coefficients.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import factorial, lcm
 
 from .exactnum import Rational
 from .fibonacci import fib
@@ -40,13 +42,19 @@ __all__ = [
 ]
 
 
-def _plus(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def _plus(a: Sequence[Rational], b: Sequence[Rational]) -> list[Rational]:
     if len(a) < len(b):
         a, b = b, a
     merged = list(a)
     for k, c in enumerate(b):
         merged[k] += c
     return merged
+
+
+def _over_lcm(coeffs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
+    # (d, d*coeffs) in integers, d the least common denominator.
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -112,12 +120,8 @@ class QRPair:
     @cached_property
     def _integer_form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         # (D, D*Q, D*R) with D the least common denominator of Q and R.
-        d = lcm(*(c.denominator for c in self.Q.coeffs + self.R.coeffs))
-        return (
-            d,
-            tuple(c.numerator * (d // c.denominator) for c in self.Q.coeffs),
-            tuple(c.numerator * (d // c.denominator) for c in self.R.coeffs),
-        )
+        d, qr = _over_lcm(self.Q.coeffs + self.R.coeffs)
+        return d, qr[: len(self.Q.coeffs)], qr[len(self.Q.coeffs) :]
 
 
 def poly_eval(P: RatPolynomial, x: int) -> Fraction:
@@ -141,20 +145,23 @@ def _to_newton(P: RatPolynomial) -> list[Fraction]:
     return b
 
 
-def _from_newton(b: list[Fraction]) -> RatPolynomial:
-    # Horner's rule over falling factorials, C(x, j+1) = C(x, j) (x-j)/(j+1):
-    # P = b[0] + x/1 (b[1] + (x-1)/2 (b[2] + ...)).
-    acc: list[Fraction] = []
+def _from_newton(b: Sequence[Rational]) -> RatPolynomial:
+    # Horner's rule over falling factorials in integers, scaled by n! d with
+    # n = len(b) and d the least common denominator of b, as
+    # C(x, j) = x(x-1)...(x-j+1) / j! and every j! divides n!:
+    # n! d P = n!/0! d b[0] + x (n!/1! d b[1] + (x-1) (n!/2! d b[2] + ...)).
+    d, num = _over_lcm(b)
+    n_factorial = factorial(len(b))
+    acc: list[int] = []
     for j in reversed(range(len(b))):
-        acc = [Fraction(0), *acc]
+        acc = [0, *acc]
         for k in range(len(acc) - 1):
             acc[k] -= j * acc[k + 1]
-        acc = [c / (j + 1) for c in acc]
-        acc[0] += b[j]
-    return RatPolynomial(tuple(acc))
+        acc[0] += num[j] * (n_factorial // factorial(j))
+    return RatPolynomial(tuple(Fraction(c, n_factorial * d) for c in acc))
 
 
-def _hockey_stick(a: list[Fraction]) -> list[Fraction]:
+def _hockey_stick(a: list[Rational]) -> list[Rational]:
     # Summing from k = 0 gives sum_j a[j] C(x, j+1); k = 0 adds P(0) = a[0].
     return [-a[0], *a] if a else []
 
@@ -173,19 +180,21 @@ def discrete_sum(P: RatPolynomial) -> RatPolynomial:
 def derive_QR(m: int) -> QRPair:
     """Polynomial pair (Q, R) for the order-m T-path closed form.
 
-    The induction shifts and adds binomial-basis coefficients, O(m)
-    rational additions per order; only order m becomes monomial.
+    The induction shifts and adds the integer binomial-basis coefficients
+    of 2^(order-1) Q and 2^(order-1) R, O(m) integer additions per order;
+    only order m is divided by 2^(m-1) and becomes monomial, with one
+    Fraction per printed coefficient.
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    q: list[Fraction] = []
-    r: list[Fraction] = []
+    q: list[int] = []
+    r: list[int] = []
     for order in range(2, m + 1):
         qr = _plus(q, r)
-        step = _plus(_plus(_hockey_stick(qr), qr), [Fraction(fib(2 * order) - 1)])
-        q = [c / 2 for c in step]
-        r = [c / 2 for c in qr]
-    return QRPair(m, _from_newton(q), _from_newton(r))
+        const = (fib(2 * order) - 1) << (order - 2)
+        q, r = _plus(_plus(_hockey_stick(qr), qr), [const]), qr
+    Q, R = (_from_newton([Fraction(c, 1 << (m - 1)) for c in b]) for b in (q, r))
+    return QRPair(m, Q, R)
 
 
 def qr_closed(pair: QRPair, n: int) -> int:

@@ -281,6 +281,13 @@ def test_derive_poly_order_above_limit_is_usage_error():
     assert f"x<={_DERIVE_ORDER_MAX}" in result.output
 
 
+def test_derive_poly_limit_values_are_printable():
+    # The numerators and denominators grow with the order, so the pair at the
+    # largest order holds the largest ones printed.
+    pair = cli.derive_QR(_DERIVE_ORDER_MAX)
+    str(pair.Q), str(pair.R)
+
+
 def test_derive_poly_help_states_order_limit():
     result = invoke("derive-poly", "--help")
     assert result.exit_code == 0

@@ -322,6 +322,23 @@ def test_s_stream_rejects_a_step_outside_its_domain(step):
         next(bruteforce.s_sums(2, [(2, -1), step]))
 
 
+@pytest.mark.parametrize(
+    "stream, args, m",
+    [
+        ("s_sums", (0, [(2, -1)]), 0),
+        ("s_sums", (-1, [(2, -1)]), -1),
+        ("t_sums", ([0],), 0),
+        ("t_sums", ([-1],), -1),
+        ("t_sums", ([0, 3],), 0),
+    ],
+)
+def test_oracle_streams_reject_an_order_below_one(stream, args, m):
+    # Same message as cell_bruteforce, on the first next() as for a bad step.
+    message = f"triangle order must be >= 1, got {m}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(getattr(bruteforce, stream)(*args))
+
+
 def test_oracle_rejects_negative_index():
     with pytest.raises(ValueError):
         REGISTRY["theorem1"].oracle(-1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 from hypothesis import given, settings
@@ -222,6 +223,41 @@ def test_derive_matches_lagrange_reference_up_to_20():
         pair = derive_QR(m)
         assert pair.Q.coeffs == q.coeffs
         assert pair.R.coeffs == r.coeffs
+
+
+# Frozen copy of derive_QR's former Fraction route: the induction halves
+# every Newton coefficient at each order, and the expansion to monomials
+# divides every coefficient at each step.
+
+
+def _fraction_from_newton(b):
+    acc = []
+    for j in reversed(range(len(b))):
+        acc = [F(0), *acc]
+        for k in range(len(acc) - 1):
+            acc[k] -= j * acc[k + 1]
+        acc = [c / (j + 1) for c in acc]
+        acc[0] += b[j]
+    return RatPolynomial(tuple(acc))
+
+
+def _fraction_pairs(m_max):
+    q = r = []
+    yield RatPolynomial(()), RatPolynomial(())
+    for m in range(2, m_max + 1):
+        qr = [a + b for a, b in zip_longest(q, r, fillvalue=F(0))]
+        shifted = [-qr[0], *qr] if qr else []
+        step = [a + b for a, b in zip_longest(shifted, qr, fillvalue=F(0))] or [F(0)]
+        step[0] += fib(2 * m) - 1
+        q, r = [c / 2 for c in step], [c / 2 for c in qr]
+        yield _fraction_from_newton(q), _fraction_from_newton(r)
+
+
+def test_derive_matches_fraction_route_up_to_60():
+    for m, (q, r) in enumerate(_fraction_pairs(60), start=1):
+        pair = derive_QR(m)
+        assert pair.Q.coeffs == q.coeffs, m
+        assert pair.R.coeffs == r.coeffs, m
 
 
 @settings(max_examples=60, deadline=None)
