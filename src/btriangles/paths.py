@@ -98,12 +98,13 @@ def trace(spec: PathSpec) -> PathTrace:
     For Sbar the cells and values are those of the underlying S walk;
     the complement applies to :attr:`PathTrace.total` only.
 
-    Only the path's dependency cone is built.  Step k lies on row
-    n - k|l|, e*k columns in from the left edge (T, e = |c|) or from the
-    diagonal (S, e = c + l).  On row r the path's cells on rows >= r,
-    steps 0..k, reach through the Pascal rule the columns within e*k of
-    that side.  Rows where this window is the whole row come from the
-    store; each later row is stepped over its window alone.
+    Only the path's dependency cone is built, in one walk over rows
+    0..n.  Step k lies on row n - k|l|, e*k columns in from the left
+    edge (T, e = |c|) or from the diagonal (S, e = c + l).  On row r the
+    path's cells on rows >= r, steps 0..k, reach through the Pascal rule
+    the columns within e*k of that side.  This window shrinks as r
+    grows, so the rows it covers whole are a prefix: they come from the
+    store, and each later row is stepped over its window alone.
     """
     m, n, rise = spec.m, spec.n, -spec.l
     if spec.family == "T":
@@ -111,28 +112,20 @@ def trace(spec: PathSpec) -> PathTrace:
     else:
         start_col, steps, e = n, n // spec.c, spec.c + spec.l
     cells = tuple((n - k * rise, start_col - k * spec.c) for k in range(steps + 1))
-
-    def reach(r: int) -> int:
-        return min(steps, (n - r) // rise) * e
-
-    r0 = 0  # the last row whose window is the whole row
-    while r0 < n and reach(r0 + 1) > r0:
-        r0 += 1
     store = TriangleStore()
     values = [0] * len(cells)
-    k = steps  # the next cell to read, rows ascending
-    while k >= 0 and cells[k][0] <= r0:
-        values[k] = store.cell(m, *cells[k])
-        k -= 1
-    row, lo = store.row(m, r0), 0  # row holds columns lo.. of the current row
-    for r in range(r0 + 1, n + 1):
-        width = min(r, reach(r))
-        new_lo, hi = (0, width) if spec.family == "T" else (r - width, r)
-        prev = row[max(new_lo - 1, 0) - lo : min(hi, r - 1) - lo + 1]
-        row, lo = step(m, r, prev, new_lo, hi), new_lo
-        if cells[k][0] == r:
+    row, lo = (), 0  # row holds columns lo.. of the current row
+    for r in range(n + 1):
+        width = min(r, min(steps, (n - r) // rise) * e)
+        if width == r:
+            row = store.row(m, r)
+        else:
+            new_lo, hi = (0, width) if spec.family == "T" else (r - width, r)
+            prev = row[max(new_lo - 1, 0) - lo : min(hi, r - 1) - lo + 1]
+            row, lo = step(m, r, prev, new_lo, hi), new_lo
+        k, off = divmod(n - r, rise)
+        if not off and k <= steps:
             values[k] = row[cells[k][1] - lo]
-            k -= 1
     return PathTrace(spec, cells, tuple(values))
 
 

@@ -176,7 +176,10 @@ def discrete_sum(P: RatPolynomial) -> RatPolynomial:
     return _from_newton(_hockey_stick(_to_newton(P)))
 
 
-@lru_cache(maxsize=None)
+# Bounded, because a pair's coefficients grow with its order: caching
+# orders 1..n without bound holds O(n^3) digits.  `verify --all` reads
+# orders 1..10, so a sweep never evicts.
+@lru_cache(maxsize=16)
 def derive_QR(m: int) -> QRPair:
     """Polynomial pair (Q, R) for the order-m T-path closed form.
 

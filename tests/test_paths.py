@@ -16,7 +16,7 @@ from btriangles.paths import (
     sum_T,
     trace,
 )
-from btriangles.triangle import TriangleStore, _diagonal
+from btriangles.triangle import TriangleStore, _diagonal, step
 
 
 def test_spec_accepts_admissible_parameters():
@@ -242,6 +242,43 @@ def test_single_sum_reads_no_store_row_past_its_full_cone(monkeypatch, one_sum, 
     monkeypatch.setattr(TriangleStore, "row", counted_row)
     assert one_sum(*args) == value
     assert read and max(read) <= 200
+
+
+@given(_path_families())
+@example((2, 1, -1, "S", 60))
+@example((2, -1, -1, "T", 60))
+@example((3, 3, -2, "Sbar", 60))
+def test_trace_reads_whole_rows_from_the_store_then_steps_cone_windows(case):
+    m, c, l, family, n = case
+    if family == "T":
+        steps, e = n // (-c - l), -c
+    else:
+        steps, e = n // c, c + l
+
+    def window(r):
+        # Steps 0..k lie on rows >= r and reach e*k columns in from their
+        # side of row r: the left edge for T, the diagonal for S.
+        k = min(steps, (n - r) // -l)
+        return (0, min(r, e * k)) if family == "T" else (max(0, r - e * k), r)
+
+    r0 = max(r for r in range(n + 1) if window(r) == (0, r))
+    read, stepped = [], []
+    row = TriangleStore.row
+
+    def counted_row(self, m, n):
+        read.append((m, n))
+        return row(self, m, n)
+
+    def counted_step(m, r, prev, lo, hi):
+        stepped.append((m, r, lo, hi))
+        return step(m, r, prev, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TriangleStore, "row", counted_row)
+        patch.setattr(paths, "step", counted_step)
+        trace(PathSpec(m, c, l, family, n))
+    assert read == [(m, r) for r in range(r0 + 1)]
+    assert stepped == [(m, r, *window(r)) for r in range(r0 + 1, n + 1)]
 
 
 def test_path_sums_rejects_inadmissible_families():

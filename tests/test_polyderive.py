@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import pytest
 
 from btriangles.fibonacci import fib
-from btriangles.identities import _PRINTED_QR
+from btriangles.identities import _PRINTED_QR, verify_all
 from btriangles.paths import sum_T
 from btriangles.polyderive import (
     QRPair,
@@ -290,3 +290,18 @@ def _t_path_oracle(m, n):
 def test_tm_closed_high_order_matches_binomial_oracle(m):
     for n in (0, 1, 7, 64, 151, 200):
         assert tm_closed(m, n) == _t_path_oracle(m, n)
+
+
+def test_derive_cache_is_bounded():
+    # An unbounded cache over orders 1..n holds O(n^3) digits.
+    derive_QR.cache_clear()
+    for m in range(1, 41):
+        derive_QR(m)
+    assert derive_QR.cache_info().currsize <= 16
+
+
+def test_verify_sweep_derives_each_order_once():
+    # `verify --all` reads orders 1..10, which the bounded cache holds whole.
+    derive_QR.cache_clear()
+    verify_all(30)
+    assert derive_QR.cache_info().misses == 10
