@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import partial
-from itertools import accumulate, count
-from operator import add, floordiv, mul
+from itertools import accumulate, count, islice
+from operator import add, floordiv, mul, sub
 
 __all__ = [
     "cell_bruteforce",
@@ -94,7 +94,7 @@ def t_sums(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
         below = [1, *map(floordiv, map(mul, levels[0], range(n, 0, -2)), count(1))]
         levels[0] = below
         for j in range(1, len(levels)):
-            levels[j] = below = [1, *map(add, levels[j], below[1:])]
+            levels[j] = below = [1, *map(add, levels[j], islice(below, 1, None))]
 
 
 def s_sums(
@@ -119,5 +119,5 @@ def s_sums(
     for r, row in enumerate(_rows(m)):
         sums = [_feed(p, row[r :: -(c + l)], -l) for p, (c, l) in zip(pending, steps)]
         value = (*sums, *(2 * row[r] - s for s in sums), *reversed(row))
-        yield value, tuple(v - 2 * p for v, p in zip(value, previous))
+        yield value, tuple(map(sub, value, map(add, previous, previous)))
         previous = value

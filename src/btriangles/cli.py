@@ -44,8 +44,10 @@ _LAMBDA_TERMS_MAX = 20000
 # largest numerator or denominator printed at order 1000 has 2863 digits, under
 # CPython's 4300-digit int-to-str limit.
 _DERIVE_ORDER_MAX = 1000
-# Measured (CPython 3.11, 2 vCPUs): verify --all takes 3.6-4.3 s at n-max 1000
-# (28 MB peak RSS) and 22 s at 2000 (48 MB); the cost grows 5-6x per doubling.
+# Measured (CPython 3.11, 2 vCPUs, the four oracle passes split over both):
+# verify --all takes 1.6-2.4 s at n-max 1000 (24 MB peak RSS per process) and
+# 14 s at 2000 (37 MB), where the T-pair pass alone sets the time. On one CPU
+# (taskset -c 0) n-max 1000 takes 4.0-4.1 s. The cost grows 5-7x per doubling.
 _VERIFY_N_MAX = 1000
 # Measured: the path-sum bindings take 1.8-2.3 s for 4000 terms, one pass over
 # full rows 0..4000; every such term prints under CPython's 4300-digit

@@ -26,9 +26,10 @@ row differences), and order 3 along (2, -1) (``theoremS3``,
 its current value.
 
 :func:`verify` sweeps one record over an index range and reports every
-mismatch.  :func:`verify_all` sweeps every record in one pass over n,
-with the records in name order inside it, so the records of a shared
-pass read it at the same n and it is built once.  Each report's elapsed
+mismatch.  :func:`verify_all` sweeps every shared pass whole in one
+process, in one pass over n with the pass's records in name order inside
+it, so they read it at the same n and it is built once; the four passes
+are spread over the usable CPUs by forked workers.  Each report's elapsed
 time is that record's own calls, except that at each n the advance of a
 shared pass is charged to the first record in name order that reads it
 (``S2diff`` for the order-2 S pass).  Multi-parameter families (a range of
@@ -38,12 +39,16 @@ compared elementwise.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from inspect import unwrap
 from itertools import chain
 from operator import itemgetter
+from typing import BinaryIO, NoReturn
 
 from . import bruteforce
 from .exactnum import pow2
@@ -271,14 +276,18 @@ REGISTRY: dict[str, IdentityRecord] = {
 }
 
 
-def _sweep(records: list[IdentityRecord], n_max: int) -> list[VerifyReport]:
-    # One pass over n with the records inside it, so records whose oracles
-    # view one shared cursor read it at the same n and advance it once.
+def _check_reach(records: list[IdentityRecord], n_max: int) -> None:
     for rec in records:
         if n_max < rec.valid_from:
             raise ValueError(
                 f"{rec.name} needs n_max >= {rec.valid_from}, got {n_max}"
             )
+
+
+def _sweep(records: list[IdentityRecord], n_max: int) -> list[VerifyReport]:
+    # One pass over n with the records inside it, so records whose oracles
+    # view one shared cursor read it at the same n and advance it once.
+    _check_reach(records, n_max)
     failures: list[list[tuple[int, object, object]]] = [[] for _ in records]
     elapsed = [0.0] * len(records)
     for n in range(min(rec.valid_from for rec in records), n_max + 1):
@@ -308,13 +317,132 @@ def verify(name: str, n_max: int) -> VerifyReport:
     return _sweep([rec], n_max)[0]
 
 
+def _shared_passes(records: list[IdentityRecord]) -> list[list[IdentityRecord]]:
+    """The records grouped, in order, by the brute-force pass they read.
+
+    A record whose oracle is a :class:`~btriangles.triangle.View` reads
+    the view's cursor; any other record reads its own oracle.  An oracle
+    wrapped by :func:`functools.wraps`, to time it say, reads the pass of
+    the oracle it wraps.
+    """
+    passes: dict[int, list[IdentityRecord]] = {}
+    for rec in records:
+        oracle = unwrap(rec.oracle)
+        passes.setdefault(id(getattr(oracle, "cursor", oracle)), []).append(rec)
+    return list(passes.values())
+
+
+def _usable_cpus() -> int:
+    # A forked child keeps only the forking thread, so a lock that another
+    # thread held at the fork, a Cursor's say, would stay held in the child.
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# Each pass index in the work queue is this many bytes.  The queue is full
+# before any worker starts, so each read of this many bytes, atomic below
+# PIPE_BUF, takes one whole index.
+_INDEX_BYTES = 4
+
+
+def _claim(
+    queue: int, passes: list[list[IdentityRecord]], n_max: int
+) -> dict[str, VerifyReport]:
+    # Sweep whole passes, taken one index at a time from the queue, until
+    # it is empty.
+    reports = {}
+    while index := os.read(queue, _INDEX_BYTES):
+        for report in _sweep(passes[int.from_bytes(index, "big")], n_max):
+            reports[report.name] = report
+    return reports
+
+
+def _work(
+    queue: int, passes: list[list[IdentityRecord]], n_max: int, sink: int
+) -> NoReturn:
+    # A forked worker sends its reports, or the exception it raised, pickled
+    # to ``sink``.  os._exit runs no atexit handler and flushes no stdio
+    # buffer that the worker inherited, and the worker never returns into
+    # the caller's frames.
+    status = 1
+    try:
+        try:
+            outcome = _claim(queue, passes, n_max)
+        except BaseException as exc:  # raised again in the caller
+            outcome = exc
+        import pickle
+
+        with open(sink, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _outcome(pid: int, data: bytes, status: int) -> dict[str, VerifyReport]:
+    import pickle
+
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(
+            f"verify worker {pid} ended without a result (exit status {code})"
+        )
+    outcome = pickle.loads(data)
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
 def verify_all(n_max: int) -> list[VerifyReport]:
-    """Sweep every registered identity, in name order, in one pass over n.
+    """Sweep every registered identity, each shared pass in one process.
 
     Equal to ``[verify(name, n_max) for name in sorted(REGISTRY)]``; a
-    record whose valid_from exceeds n_max raises before any work.
+    record whose valid_from exceeds n_max raises before any work.  The
+    records are split into their shared passes (:func:`_shared_passes`)
+    and each pass is swept whole, in one pass over n with its records in
+    name order, so it is built once.  On k = min(passes, usable CPUs)
+    processes: the caller forks k - 1 workers, and each process claims
+    passes from one queue until it is empty.  The caller alone sweeps
+    everything when one CPU is usable, when another thread is alive
+    (forking would copy locks that thread may hold), or where
+    ``os.sched_getaffinity`` does not exist.  A worker's exception is
+    raised again here, and no worker outlives the call.
     """
-    return _sweep([REGISTRY[name] for name in sorted(REGISTRY)], n_max)
+    records = [REGISTRY[name] for name in sorted(REGISTRY)]
+    _check_reach(records, n_max)
+    passes = _shared_passes(records)
+    queue, fill = os.pipe()
+    os.write(
+        fill, b"".join(i.to_bytes(_INDEX_BYTES, "big") for i in range(len(passes)))
+    )
+    os.close(fill)
+    workers: dict[int, BinaryIO] = {}  # pid: its result pipe, until reaped
+    try:
+        for _ in range(min(len(passes), _usable_cpus()) - 1):
+            result, sink = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(queue, passes, n_max, sink)
+            os.close(sink)
+            workers[pid] = open(result, "rb")
+        reports = _claim(queue, passes, n_max)
+        for pid, pipe in list(workers.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            reports.update(_outcome(pid, data, status))
+    finally:
+        os.close(queue)
+        if workers:  # left running by an exception
+            import signal
+
+            for pid, pipe in workers.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [reports[rec.name] for rec in records]
 
 
 # Sequence generators without closed forms, so they live outside REGISTRY.

@@ -1,7 +1,12 @@
 import ast
+import dataclasses
+import functools
 import inspect
+import os
 import re
 import sys
+import threading
+import time
 import tracemalloc
 from itertools import count, islice
 from pathlib import Path
@@ -11,7 +16,7 @@ from hypothesis import strategies as st
 import pytest
 
 import btriangles
-from btriangles import bruteforce
+from btriangles import bruteforce, identities
 from btriangles.bruteforce import cell_bruteforce
 from btriangles.exactnum import binomial
 from btriangles.fibonacci import telescope
@@ -249,11 +254,27 @@ def test_closed_sides_in_any_order_match_the_per_n_routes(name, data):
 
 def _shared_passes():
     # Record names grouped by the cursor their oracles read.
-    passes = {}
-    for name, rec in sorted(REGISTRY.items()):
-        cursor = getattr(rec.oracle, "cursor", rec.oracle)
-        passes.setdefault(id(cursor), []).append(name)
-    return list(passes.values())
+    records = [REGISTRY[name] for name in sorted(REGISTRY)]
+    return [[rec.name for rec in group] for group in identities._shared_passes(records)]
+
+
+def test_records_group_into_the_four_shared_passes():
+    def timed(oracle):
+        return functools.wraps(oracle)(lambda n: oracle(n))
+
+    wrapped = [
+        dataclasses.replace(rec, oracle=timed(rec.oracle))
+        for rec in (REGISTRY[name] for name in sorted(REGISTRY))
+    ]
+    assert identities._shared_passes(wrapped) == [
+        [rec for rec in wrapped if rec.name in names] for names in _shared_passes()
+    ]
+    assert _shared_passes() == [
+        ["S2diff", "corollary1", "relB2diff", "theorem1"],
+        ["S3barClosed", "rel8", "theoremS3"],
+        ["T2even", "T2odd", "TmEven", "TmOdd"],
+        ["T4closed", "T5closed", "resT2", "resT3", "theoremTm"],
+    ]
 
 
 @given(st.sampled_from(_shared_passes()), st.data())
@@ -279,20 +300,128 @@ def test_oracle_calls_in_any_order_match_a_fresh_sweep(names, data):
         assert REGISTRY[name].oracle(n) == expected[name][n], (name, n)
 
 
-def test_verify_all_starts_each_shared_pass_once(monkeypatch):
-    verify_all(30)
-    starts = []
+def test_verify_all_starts_each_shared_pass_once(monkeypatch, tmp_path):
+    # Every pass is past the sweep's first n in this process, and so in any
+    # worker forked from it.
+    for rec in REGISTRY.values():
+        rec.oracle(30)
+    # One line per start, appended from whichever process starts the pass.
+    starts = tmp_path / "starts"
     for name in bruteforce.__all__:
         route = getattr(bruteforce, name)
 
         def counted(*args, name=name, route=route):
-            starts.append(name)
+            with starts.open("a") as log:
+                log.write(name + "\n")
             return route(*args)
 
         monkeypatch.setattr(bruteforce, name, counted)
     # Every pass restarts once, at its first n, however many records view it.
     assert all(report.ok for report in verify_all(30))
-    assert sorted(starts) == ["s_sums"] * 2 + ["t_sums"] * 2
+    assert sorted(starts.read_text().split()) == ["s_sums"] * 2 + ["t_sums"] * 2
+
+
+def _fields(reports):
+    return [(r.name, r.start, r.stop, r.failures) for r in reports]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # Two usable CPUs; the list grows by one at each os.fork call.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _claim_by_process(monkeypatch, worker, caller):
+    # Patch the per-process claim loop: ``caller`` runs in this process and
+    # ``worker`` in a forked worker, each given the original loop.
+    claim, pid = identities._claim, os.getpid()
+    monkeypatch.setattr(
+        identities,
+        "_claim",
+        lambda *args: (caller if os.getpid() == pid else worker)(claim, *args),
+    )
+
+
+def test_verify_all_forks_one_worker_per_spare_cpu(two_cpus, monkeypatch):
+    # 2 usable CPUs and 4 passes: the caller and one worker.
+    forked = _fields(verify_all(30))
+    assert len(two_cpus) == 1
+    _assert_no_child_left()
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    alone = _fields(verify_all(30))
+    assert len(two_cpus) == 1
+    assert alone == forked
+    assert [name for name, *_ in forked] == sorted(EXPECTED_NAMES)
+
+
+def test_verify_all_forks_nothing_beside_a_live_thread(two_cpus):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        beside = _fields(verify_all(30))
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert two_cpus == []
+    assert beside == _fields(verify(name, 30) for name in sorted(REGISTRY))
+
+
+def test_a_worker_exception_is_raised_in_the_caller(two_cpus, monkeypatch):
+    def closed(n):
+        raise ArithmeticError(f"no closed side at n = {n}")
+
+    monkeypatch.setitem(
+        REGISTRY, "broken", IdentityRecord("broken", closed, lambda n: n, 2, "")
+    )
+    # The caller claims nothing, so the worker sweeps every pass.
+    _claim_by_process(monkeypatch, lambda claim, *args: claim(*args), lambda *_: {})
+    with pytest.raises(ArithmeticError, match="^no closed side at n = 2$"):
+        verify_all(30)
+    assert len(two_cpus) == 1
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_a_result_is_an_error(two_cpus, monkeypatch):
+    _claim_by_process(
+        monkeypatch, lambda claim, *args: os._exit(3), lambda claim, *args: claim(*args)
+    )
+    with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
+        verify_all(30)
+    assert len(two_cpus) == 1
+    _assert_no_child_left()
+
+
+def test_a_caller_exception_stops_the_running_workers(two_cpus, monkeypatch):
+    def interrupted(claim, *args):
+        raise KeyboardInterrupt
+
+    def slow(claim, *args):
+        time.sleep(30)
+        return claim(*args)
+
+    _claim_by_process(monkeypatch, slow, interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify_all(30)
+    assert time.monotonic() - started < 10
+    assert len(two_cpus) == 1
+    _assert_no_child_left()
 
 
 @settings(max_examples=25, deadline=None)

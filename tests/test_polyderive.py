@@ -300,8 +300,10 @@ def test_derive_cache_is_bounded():
     assert derive_QR.cache_info().currsize <= 16
 
 
-def test_verify_sweep_derives_each_order_once():
+def test_verify_sweep_derives_each_order_once(monkeypatch):
     # `verify --all` reads orders 1..10, which the bounded cache holds whole.
+    # The cache is per process, so the sweep is kept in this one.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
     derive_QR.cache_clear()
     verify_all(30)
     assert derive_QR.cache_info().misses == 10
