@@ -27,15 +27,16 @@ _FAMILY_SUM = {"S": sum_S, "Sbar": sum_Sbar, "T": sum_T}
 # The largest entry printed, cell(1200, 1000, 1000), has 808 digits.
 _TRIANGLE_ORDER_MAX = 1200
 _TRIANGLE_ROWS_MAX = 1000
-# Measured (CPython 3.11, 2 vCPUs): T(2, -1, -1), S(2, 2, -1) and Sbar(3, 2, -1)
-# take 0.4-0.5 s at n = 4000 and 1.4-1.7 s at n = 6000; S(3, 40, -1), whose
-# dependency cone is nearly the whole triangle, takes 1.2 s and 4.6 s. The cost
-# grows as n^2 or faster.
+# Measured in process (CPython 3.11, 2 vCPUs): T(2, -1, -1), S(2, 2, -1) and
+# Sbar(3, 2, -1) take 0.2-0.3 s at n = 4000 and 0.6-1.1 s at n = 6000, as the
+# stepped windows grow as n^2. S(3, 40, -1), whose cone covers rows 0..3900
+# whole at n = 4000, builds that row from binomials and takes 0.05 s and 0.13 s.
 _PATHSUM_N_MAX = 4000
-# Measured at n = 4000: order 200 takes 0.7 s for T(m, -1, -1) and 1.4 s for
-# S(m, 2, -1), order 1200 2.6 s and 7.9 s, order 4000 3.8 s and 21.5 s, as each
-# diagonal stepped costs min(n, order) terms; a T walk steps a row's diagonal
-# only while its window is the whole row.
+# Measured at n = 4000: order 200 takes 0.24 s for T(m, -1, -1) and 0.9 s for
+# S(m, 2, -1), order 1200 0.5 s and 5.2 s, order 4000 3.5 s and 17.6 s, and
+# S(m, 40, -1) 0.2 s, 1.2 s and 5.3 s. A whole row built directly costs about
+# order * n additions, and each row an S walk steps also steps its diagonal,
+# at min(n, order) terms.
 _PATHSUM_ORDER_MAX = 1200
 # lambda grows fastest at c = 2: lambda_20579(2) is over CPython's int-to-str limit.
 _LAMBDA_TERMS_MAX = 20000

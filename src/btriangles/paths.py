@@ -103,8 +103,10 @@ def trace(spec: PathSpec) -> PathTrace:
     edge (T, e = |c|) or from the diagonal (S, e = c + l).  On row r the
     path's cells on rows >= r, steps 0..k, reach through the Pascal rule
     the columns within e*k of that side.  This window shrinks as r
-    grows, so the rows it covers whole are a prefix: they come from the
-    store, and each later row is stepped over its window alone.
+    grows, so the rows it covers whole are a prefix.  Of those, the
+    store gives only the rows that hold a path cell and the last one,
+    which the first window steps from; each later row is stepped over its
+    window alone.
     """
     m, n, rise = spec.m, spec.n, -spec.l
     if spec.family == "T":
@@ -112,19 +114,25 @@ def trace(spec: PathSpec) -> PathTrace:
     else:
         start_col, steps, e = n, n // spec.c, spec.c + spec.l
     cells = tuple((n - k * rise, start_col - k * spec.c) for k in range(steps + 1))
+
+    def width(r: int) -> int:
+        # Columns of row r, from the path's side, that steps on rows >= r reach.
+        return min(r, min(steps, (n - r) // rise) * e)
+
     store = TriangleStore()
     values = [0] * len(cells)
     row, lo = (), 0  # row holds columns lo.. of the current row
     for r in range(n + 1):
-        width = min(r, min(steps, (n - r) // rise) * e)
-        if width == r:
-            row = store.row(m, r)
-        else:
-            new_lo, hi = (0, width) if spec.family == "T" else (r - width, r)
+        k, off = divmod(n - r, rise)
+        on_path = not off and k <= steps
+        w = width(r)
+        if w < r:
+            new_lo, hi = (0, w) if spec.family == "T" else (r - w, r)
             prev = row[max(new_lo - 1, 0) - lo : min(hi, r - 1) - lo + 1]
             row, lo = step(m, r, prev, new_lo, hi), new_lo
-        k, off = divmod(n - r, rise)
-        if not off and k <= steps:
+        elif on_path or width(r + 1) <= r:
+            row = store.row(m, r)
+        if on_path:
             values[k] = row[cells[k][1] - lo]
     return PathTrace(spec, cells, tuple(values))
 

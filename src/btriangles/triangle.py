@@ -5,19 +5,20 @@ entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1.
 :func:`rows` streams one order: interior cells follow the Pascal rule
 cell(n, k) = cell(n-1, k) + cell(n-1, k-1) and the diagonal has a closed
 form, so no row reads a lower order.  :func:`step` is that rule, over a
-window of columns, for both :func:`rows` and the path walks of
-:mod:`btriangles.paths`.  :class:`Cursor`, the package's one
-per-n view of a forward stream, serves :class:`TriangleStore` and the
-identity registry, where a :class:`View` reads one part of a cursor
-that several records share.
+window of columns, for :func:`rows`, :class:`TriangleStore` and the path
+walks of :mod:`btriangles.paths`.  :class:`TriangleStore` also builds a
+far row directly, as Pascal's row followed by m - 1 prefix sums, when
+that takes fewer big-integer operations than stepping to it.
+:class:`Cursor`, the package's one per-n view of a forward stream,
+serves the identity registry, where a :class:`View` reads one part of a
+cursor that several records share.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Iterator, Sequence
-from functools import partial
-from itertools import count
+from itertools import accumulate, count
 from operator import add
 
 __all__ = ["Cursor", "View", "TriangleStore", "rows", "step"]
@@ -91,21 +92,32 @@ def rows(m: int) -> Iterator[tuple[int, ...]]:
 
 
 class TriangleStore:
-    """Triangle rows of any order, read forward by one :class:`Cursor` per order.
+    """Triangle rows of any order, each order holding the last row read.
 
-    ``row(m, n)`` advances the order-m cursor over :func:`rows` to row n
-    and then holds row n; an earlier n restarts from row 0.
+    ``row(m, n)`` reaches row n by whichever route takes fewer big-integer
+    operations: stepping by :func:`step` from the held row, or from row 0
+    when n is earlier, or building row n from binomials and prefix sums.
+    It then holds row n.  A read that raised, even by an interrupt, leaves
+    the held row as it was.  Calls from several threads take turns.
     """
 
     def __init__(self) -> None:
-        self._cursors: dict[int, Cursor] = {}
+        self._lock = threading.Lock()
+        self._held: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def row(self, m: int, n: int) -> tuple[int, ...]:
         """Row n of the order-m triangle: entries for columns 0..n."""
         _check_row(m, n)
-        if m not in self._cursors:
-            self._cursors[m] = Cursor(partial(rows, m))
-        return self._cursors[m](n)
+        with self._lock:
+            at, row = self._held.get(m, (0, (1,)))
+            if n < at:
+                at, row = 0, (1,)
+            if _build_cost(m, n) < _step_cost(m, n) - _step_cost(m, at):
+                at, row = n, _built_row(m, n)
+            for r in range(at + 1, n + 1):
+                row = step(m, r, row, 0, r)
+            self._held[m] = n, row
+        return row
 
     def cell(self, m: int, n: int, k: int) -> int:
         """Entry (n, k) of the order-m triangle.
@@ -125,6 +137,31 @@ def _check_row(m: int, n: int) -> None:
         raise ValueError(f"triangle order must be >= 1, got {m}")
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
+
+
+def _built_row(m: int, n: int) -> tuple[int, ...]:
+    # Pascal's row n by C(n, q+1) = C(n, q)(n - q)/(q + 1), then m - 1 prefix sums.
+    row = [1]
+    for q in range(n):
+        row.append(row[-1] * (n - q) // (q + 1))
+    for _ in range(m - 1):
+        row = list(accumulate(row))
+    return tuple(row)
+
+
+def _build_cost(m: int, n: int) -> int:
+    # Big-integer operations in _built_row: a multiply and a divide per
+    # binomial, then n additions per prefix sum.
+    return (m + 1) * n
+
+
+def _step_cost(m: int, n: int) -> int:
+    # Big-integer operations to step rows 1..n: row r adds r - 1 pairs, and
+    # each of the min(r, m - 2) terms of its diagonal is a multiply, a divide
+    # and an addition.
+    d = max(m - 2, 0)
+    k = min(n, d)
+    return n * (n - 1) // 2 + 3 * (k * (k + 1) // 2 + d * (n - k))
 
 
 def _diagonal(m: int, n: int) -> int:

@@ -277,7 +277,10 @@ def test_trace_reads_whole_rows_from_the_store_then_steps_cone_windows(case):
         patch.setattr(TriangleStore, "row", counted_row)
         patch.setattr(paths, "step", counted_step)
         trace(PathSpec(m, c, l, family, n))
-    assert read == [(m, r) for r in range(r0 + 1)]
+    # Of the whole rows, the store gives those that hold a path cell and
+    # the last one, which the first window steps from.
+    on_path = {n + k * l for k in range(steps + 1)}
+    assert read == [(m, r) for r in range(r0 + 1) if r in on_path or r == r0]
     assert stepped == [(m, r, *window(r)) for r in range(r0 + 1, n + 1)]
 
 

@@ -3,14 +3,14 @@ import threading
 from itertools import count, islice
 from math import comb
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from btriangles import bruteforce, triangle
 from btriangles.bruteforce import cell_bruteforce
 from btriangles.identities import REGISTRY
-from btriangles.triangle import Cursor, TriangleStore, rows
+from btriangles.triangle import Cursor, TriangleStore, rows, step
 
 
 @pytest.fixture(scope="module")
@@ -109,25 +109,71 @@ def test_rows_are_memoized(store):
     assert store.row(2, 12) is store.row(2, 12)
 
 
-def test_cursor_holds_one_row_per_order(monkeypatch):
-    starts = []
+def test_store_holds_one_row_per_order(monkeypatch):
+    stepped = []
 
-    def counted_rows(m):
-        starts.append(m)
-        return rows(m)
+    def counted_step(m, r, prev, lo, hi):
+        stepped.append((m, r))
+        return step(m, r, prev, lo, hi)
 
-    monkeypatch.setattr(triangle, "rows", counted_rows)
+    monkeypatch.setattr(triangle, "step", counted_step)
     store = TriangleStore()
     for n in range(40):
         store.row(2, n)
         store.row(3, n)
-    held = {m: (cursor._at, cursor._value) for m, cursor in store._cursors.items()}
-    assert held == {2: (39, store.row(2, 39)), 3: (39, store.row(3, 39))}
-    assert starts == [2, 3]
-    # An earlier row rebuilds its order from row 0 and then holds that row.
-    assert store.row(2, 7) == (1, 8, 29, 64, 99, 120, 127, 128)
-    assert (store._cursors[2]._at, store._cursors[2]._value) == (7, store.row(2, 7))
-    assert starts == [2, 3, 2]
+    # The next row on from the held one is stepped.
+    assert stepped == [(m, r) for r in range(1, 40) for m in (2, 3)]
+    assert store._held == {2: (39, store.row(2, 39)), 3: (39, store.row(3, 39))}
+    # An earlier row is built directly where that costs less than stepping
+    # from row 0, and held; the row after it is stepped from there.
+    stepped.clear()
+    assert store.row(2, 30) == tuple(_passes_row(2, 30))
+    assert stepped == [] and store._held[2] == (30, store.row(2, 30))
+    assert store.row(2, 31) == tuple(_passes_row(2, 31))
+    assert stepped == [(2, 31)]
+    # A near earlier row is still stepped from row 0.
+    assert store.row(2, 3) == (1, 4, 7, 8)
+    assert stepped == [(2, 31), (2, 1), (2, 2), (2, 3)]
+    assert store._held[3] == (39, store.row(3, 39))
+
+
+def test_a_far_read_from_a_cold_store_steps_no_row(monkeypatch):
+    stepped = []
+
+    def counted_step(*args):
+        stepped.append(args[:2])
+        return step(*args)
+
+    monkeypatch.setattr(triangle, "step", counted_step)
+    row = TriangleStore().row(2, 2000)
+    assert stepped == []
+    assert len(row) == 2001 and row[-1] == 1 << 2000
+    assert row[1000] == sum(comb(2000, j) for j in range(1001))
+
+
+@st.composite
+def _store_reads(draw):
+    # Reads of up to three interleaved orders: forward and backward jumps,
+    # repeats and, where n lands next to the held row, single-row steps.
+    orders = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
+    return draw(st.lists(st.tuples(st.sampled_from(orders), st.integers(0, 400)), max_size=10))
+
+
+@settings(deadline=None)
+@given(_store_reads())
+@example([(2, 300), (2, 301), (2, 301), (2, 100), (40, 400), (40, 3), (2, 5), (1, 400)])
+def test_store_reads_in_any_order_match_the_stepped_rows(reads):
+    store = TriangleStore()
+    got = [store.row(m, n) for m, n in reads]
+    stepped = {}
+    for m in {m for m, _ in reads}:
+        wanted = {n for k, n in reads if k == m}
+        stepped.update(
+            ((m, n), row) for n, row in zip(range(max(wanted) + 1), rows(m)) if n in wanted
+        )
+    for (m, n), row in zip(reads, got):
+        assert row == stepped[m, n], (m, n)
+        assert row[-1] == triangle._diagonal(m, n), (m, n)
 
 
 def _squares():
@@ -240,7 +286,9 @@ def test_high_order_row_builds_no_lower_order():
     store = TriangleStore()
     assert store.row(1200, 3) == (1, 1202, 723000, 290161598)
     assert store.row(1200, 3) == tuple(_convolution(1200, 3, k) for k in range(4))
-    assert set(store._cursors) == {1200}
+    # A far row is built from binomials, again without a lower order.
+    assert store.row(1200, 1000)[-1] == triangle._diagonal(1200, 1000)
+    assert set(store._held) == {1200}
 
 
 class _CrossOrderStore:
