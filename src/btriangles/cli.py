@@ -22,21 +22,24 @@ from .polyderive import derive_QR
 
 _FAMILY_SUM = {"S": sum_S, "Sbar": sum_Sbar, "T": sum_T}
 
-# Measured: triangle --order 1200 --rows 1000 prints in 3.2 s and --rows 2000 in
-# 27 s (CPython 3.11, 2 vCPUs); the cost grows about 8x per doubling of rows.
-# The largest entry printed, cell(1200, 1000, 1000), has 808 digits.
+# Measured: triangle --order 1200 --rows 1000 prints in 2.1 s and rows 0..2000
+# print in 19 s (CPython 3.11, 2 vCPUs); the cost, almost all of it converting
+# entries to decimal, grows about 9x per doubling of rows. The rows alone stream
+# in 0.1 s. The largest entry printed, cell(1200, 1000, 1000), has 808 digits.
 _TRIANGLE_ORDER_MAX = 1200
 _TRIANGLE_ROWS_MAX = 1000
 # Measured in process (CPython 3.11, 2 vCPUs): T(2, -1, -1), S(2, 2, -1) and
 # Sbar(3, 2, -1) take 0.2-0.3 s at n = 4000 and 0.6-1.1 s at n = 6000, as the
 # stepped windows grow as n^2. S(3, 40, -1), whose cone covers rows 0..3900
-# whole at n = 4000, builds that row from binomials and takes 0.05 s and 0.13 s.
+# whole at n = 4000, builds that row by one series recurrence and takes 0.05 s
+# and 0.19 s.
 _PATHSUM_N_MAX = 4000
-# Measured at n = 4000: order 200 takes 0.24 s for T(m, -1, -1) and 0.9 s for
-# S(m, 2, -1), order 1200 0.5 s and 5.2 s, order 4000 3.5 s and 17.6 s, and
-# S(m, 40, -1) 0.2 s, 1.2 s and 5.3 s. A whole row built directly costs about
-# order * n additions, and each row an S walk steps also steps its diagonal,
-# at min(n, order) terms.
+# Measured at n = 4000: order 200 takes 0.21 s for T(m, -1, -1) and 0.38 s for
+# S(m, 2, -1), order 1200 0.27 s and 0.50 s, order 4000 0.39 s and 0.75 s, and
+# S(m, 40, -1) 0.06 s, 0.07 s and 0.08 s: a row is built or stepped in O(n)
+# operations at any order. The largest sum printed at order 1200 has 2162
+# digits; cell(m, 4000, 4000) passes CPython's 4300-digit int-to-str limit near
+# order 12300.
 _PATHSUM_ORDER_MAX = 1200
 # lambda grows fastest at c = 2: lambda_20579(2) is over CPython's int-to-str limit.
 _LAMBDA_TERMS_MAX = 20000

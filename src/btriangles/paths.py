@@ -102,11 +102,13 @@ def trace(spec: PathSpec) -> PathTrace:
     0..n.  Step k lies on row n - k|l|, e*k columns in from the left
     edge (T, e = |c|) or from the diagonal (S, e = c + l).  On row r the
     path's cells on rows >= r, steps 0..k, reach through the Pascal rule
-    the columns within e*k of that side.  This window shrinks as r
-    grows, so the rows it covers whole are a prefix.  Of those, the
-    store gives only the rows that hold a path cell and the last one,
-    which the first window steps from; each later row is stepped over its
-    window alone.
+    the columns within e*k of that side, and never fewer than one, as
+    :func:`~btriangles.triangle.step` reads a diagonal off the two
+    entries before it.  This window shrinks as r grows, so the rows it
+    covers whole are a prefix.  Of those, the store gives only the rows
+    that hold a path cell and the last one, which the first window steps
+    from, each in O(r) operations at any order; each later row is
+    stepped over its window alone.
     """
     m, n, rise = spec.m, spec.n, -spec.l
     if spec.family == "T":
@@ -117,7 +119,8 @@ def trace(spec: PathSpec) -> PathTrace:
 
     def width(r: int) -> int:
         # Columns of row r, from the path's side, that steps on rows >= r reach.
-        return min(r, min(steps, (n - r) // rise) * e)
+        # At least one, so a window at the diagonal holds two columns.
+        return min(r, max(1, min(steps, (n - r) // rise) * e))
 
     store = TriangleStore()
     values = [0] * len(cells)

@@ -1,14 +1,19 @@
 """Iterated partial-sum triangles, read row by row, and the per-n cursor.
 
 Order 1 is Pascal's triangle.  Order m is the prefix sum of order m - 1:
-entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1.
-:func:`rows` streams one order: interior cells follow the Pascal rule
-cell(n, k) = cell(n-1, k) + cell(n-1, k-1) and the diagonal has a closed
-form, so no row reads a lower order.  :func:`step` is that rule, over a
-window of columns, for :func:`rows`, :class:`TriangleStore` and the path
-walks of :mod:`btriangles.paths`.  :class:`TriangleStore` also builds a
-far row directly, as Pascal's row followed by m - 1 prefix sums, when
-that takes fewer big-integer operations than stepping to it.
+entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1,
+so row n is coefficients 0..n of the series (1 + z)^n (1 - z)^(1 - m).
+Its coefficients a(k) obey one first-order recurrence, read off
+(1 - z^2) f' = ((n + m - 1) + (m - 1 - n) z) f:
+
+    (k + 1) a(k + 1) = (n + m - 1) a(k) + (k + m - 2 - n) a(k - 1),
+
+every division exact.  :func:`step` steps a window of columns by the
+Pascal rule cell(n, k) = cell(n-1, k) + cell(n-1, k-1), and the diagonal
+by that recurrence from the last two entries of the row above, so no row
+reads a lower order.  It serves :func:`rows`, :class:`TriangleStore` and
+the path walks of :mod:`btriangles.paths`.  :class:`TriangleStore` also
+builds a far row by the recurrence, in O(n) operations at any order.
 :class:`Cursor`, the package's one per-n view of a forward stream,
 serves the identity registry, where a :class:`View` reads one part of a
 cursor that several records share.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Iterator, Sequence
-from itertools import accumulate, count
+from itertools import count
 from operator import add
 
 __all__ = ["Cursor", "View", "TriangleStore", "rows", "step"]
@@ -74,11 +79,17 @@ class View:
 def step(m: int, r: int, prev: Sequence[int], lo: int, hi: int) -> tuple[int, ...]:
     """Columns lo..hi of row r >= 1 of the order-m triangle, by the Pascal rule.
 
-    ``prev`` holds columns max(lo - 1, 0)..min(hi, r - 1) of row r - 1.
-    Column 0 is 1 and column r is the closed-form diagonal.
+    ``prev`` holds columns max(lo - 1, 0)..min(hi, r - 1) of row r - 1,
+    and a window that reaches the diagonal (hi == r) holds at least two
+    columns (lo <= r - 1).  Column 0 is 1.  Column r is cell(r-1, r-1)
+    plus coefficient r of row r - 1's series, which the module's
+    recurrence gives from row r - 1's last two entries.
     """
     head = (1,) if lo == 0 else ()
-    tail = (_diagonal(m, r),) if hi == r else ()
+    tail = ()
+    if hi == r:
+        a, b = prev[-1], prev[-2] if r > 1 else 0
+        tail = (a + ((r + m - 2) * a + (m - 2) * b) // r,)
     return (*head, *map(add, prev, prev[1:]), *tail)
 
 
@@ -94,11 +105,12 @@ def rows(m: int) -> Iterator[tuple[int, ...]]:
 class TriangleStore:
     """Triangle rows of any order, each order holding the last row read.
 
-    ``row(m, n)`` reaches row n by whichever route takes fewer big-integer
-    operations: stepping by :func:`step` from the held row, or from row 0
-    when n is earlier, or building row n from binomials and prefix sums.
-    It then holds row n.  A read that raised, even by an interrupt, leaves
-    the held row as it was.  Calls from several threads take turns.
+    ``row(m, n)`` steps by :func:`step` from the held row when n is at
+    most 8 rows past it, and otherwise builds row n by the series
+    recurrence, in O(n) operations at any order, about the cost of
+    stepping 8 rows.  It then holds row n.  A read that raised, even by
+    an interrupt, leaves the held row as it was.  Calls from several
+    threads take turns.
     """
 
     def __init__(self) -> None:
@@ -110,9 +122,7 @@ class TriangleStore:
         _check_row(m, n)
         with self._lock:
             at, row = self._held.get(m, (0, (1,)))
-            if n < at:
-                at, row = 0, (1,)
-            if _build_cost(m, n) < _step_cost(m, n) - _step_cost(m, at):
+            if not at <= n <= at + 8:
                 at, row = n, _built_row(m, n)
             for r in range(at + 1, n + 1):
                 row = step(m, r, row, 0, r)
@@ -140,39 +150,9 @@ def _check_row(m: int, n: int) -> None:
 
 
 def _built_row(m: int, n: int) -> tuple[int, ...]:
-    # Pascal's row n by C(n, q+1) = C(n, q)(n - q)/(q + 1), then m - 1 prefix sums.
-    row = [1]
-    for q in range(n):
-        row.append(row[-1] * (n - q) // (q + 1))
-    for _ in range(m - 1):
-        row = list(accumulate(row))
+    # Coefficients 0..n of (1 + z)^n (1 - z)^(1 - m) by the series recurrence.
+    row, a, b = [1], 1, 0
+    for k in range(n):
+        a, b = ((n + m - 1) * a + (k + m - 2 - n) * b) // (k + 1), a
+        row.append(a)
     return tuple(row)
-
-
-def _build_cost(m: int, n: int) -> int:
-    # Big-integer operations in _built_row: a multiply and a divide per
-    # binomial, then n additions per prefix sum.
-    return (m + 1) * n
-
-
-def _step_cost(m: int, n: int) -> int:
-    # Big-integer operations to step rows 1..n: row r adds r - 1 pairs, and
-    # each of the min(r, m - 2) terms of its diagonal is a multiply, a divide
-    # and an addition.
-    d = max(m - 2, 0)
-    k = min(n, d)
-    return n * (n - 1) // 2 + 3 * (k * (k + 1) // 2 + d * (n - k))
-
-
-def _diagonal(m: int, n: int) -> int:
-    # cell(m, n, n), the row sum of order m - 1, as sum_i C(n, i) C(m-2, i) 2^(n-i)
-    # by Vandermonde's identity and sum_j C(n, j) C(j, i) = C(n, i) 2^(n-i)
-    # (Concrete Math. 5.1).  Each term is the last one times
-    # (n - i)(m - 2 - i) / (2 (i + 1)^2), an exact division.
-    if m == 1:
-        return 1
-    term = total = 1 << n
-    for i in range(min(n, m - 2)):
-        term = term * ((n - i) * (m - 2 - i)) // (2 * (i + 1) ** 2)
-        total += term
-    return total

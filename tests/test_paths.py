@@ -16,7 +16,7 @@ from btriangles.paths import (
     sum_T,
     trace,
 )
-from btriangles.triangle import TriangleStore, _diagonal, step
+from btriangles.triangle import TriangleStore, step
 
 
 def test_spec_accepts_admissible_parameters():
@@ -165,7 +165,7 @@ class _MemoStore:
                 else:
                     prev = self._rows[m, r - 1]
                     inner = (prev[j] + prev[j - 1] for j in range(1, r))
-                    row = (1, *inner, _diagonal(m, r))
+                    row = (1, *inner, cell_bruteforce(m, r, r))
                 self._rows[m, r] = row
         return self._rows[m, n][k]
 
@@ -257,9 +257,11 @@ def test_trace_reads_whole_rows_from_the_store_then_steps_cone_windows(case):
 
     def window(r):
         # Steps 0..k lie on rows >= r and reach e*k columns in from their
-        # side of row r: the left edge for T, the diagonal for S.
-        k = min(steps, (n - r) // -l)
-        return (0, min(r, e * k)) if family == "T" else (max(0, r - e * k), r)
+        # side of row r: the left edge for T, the diagonal for S.  A window
+        # holds at least one column past that side, as a diagonal is stepped
+        # from the two entries before it.
+        w = min(r, max(1, e * min(steps, (n - r) // -l)))
+        return (0, w) if family == "T" else (r - w, r)
 
     r0 = max(r for r in range(n + 1) if window(r) == (0, r))
     read, stepped = [], []

@@ -82,8 +82,9 @@ def test_interior_pascal_rule(m, n, data):
 
 @given(st.integers(1, 6), st.integers(1, 40), st.data())
 def test_windowed_step_matches_the_full_row(m, r, data):
-    lo = data.draw(st.integers(0, r))
-    hi = data.draw(st.integers(lo, r))
+    # A window that reaches the diagonal holds at least two columns.
+    hi = data.draw(st.integers(0, r))
+    lo = data.draw(st.integers(0, min(hi, r - 1)))
     prev, full = islice(rows(m), r - 1, r + 1)
     window = prev[max(lo - 1, 0) : min(hi, r - 1) + 1]
     assert triangle.step(m, r, window, lo, hi) == full[lo : hi + 1]
@@ -124,16 +125,21 @@ def test_store_holds_one_row_per_order(monkeypatch):
     # The next row on from the held one is stepped.
     assert stepped == [(m, r) for r in range(1, 40) for m in (2, 3)]
     assert store._held == {2: (39, store.row(2, 39)), 3: (39, store.row(3, 39))}
-    # An earlier row is built directly where that costs less than stepping
-    # from row 0, and held; the row after it is stepped from there.
+    # An earlier row is built, with no step, and held; the row after it is
+    # stepped from there.
     stepped.clear()
     assert store.row(2, 30) == tuple(_passes_row(2, 30))
     assert stepped == [] and store._held[2] == (30, store.row(2, 30))
     assert store.row(2, 31) == tuple(_passes_row(2, 31))
     assert stepped == [(2, 31)]
-    # A near earlier row is still stepped from row 0.
+    # A near earlier row is built too, with no step from row 0.
     assert store.row(2, 3) == (1, 4, 7, 8)
-    assert stepped == [(2, 31), (2, 1), (2, 2), (2, 3)]
+    assert stepped == [(2, 31)] and store._held[2] == (3, (1, 4, 7, 8))
+    # Rows up to 8 past the held one are stepped; one further is built.
+    store.row(2, 11)
+    assert stepped == [(2, 31), *((2, r) for r in range(4, 12))]
+    store.row(2, 20)
+    assert stepped[-1] == (2, 11) and store._held[2][0] == 20
     assert store._held[3] == (39, store.row(3, 39))
 
 
@@ -173,7 +179,7 @@ def test_store_reads_in_any_order_match_the_stepped_rows(reads):
         )
     for (m, n), row in zip(reads, got):
         assert row == stepped[m, n], (m, n)
-        assert row[-1] == triangle._diagonal(m, n), (m, n)
+        assert row[-1] == cell_bruteforce(m, n, n), (m, n)
 
 
 def _squares():
@@ -214,19 +220,19 @@ def test_a_stream_that_raised_restarts_on_the_next_call(monkeypatch):
     views = [REGISTRY[name].oracle for name in ("theorem1", "S2diff")]
     assert views[0].cursor is views[1].cursor
     expected = [[view(n) for n in range(8)] for view in views]
-    s_sums, diagonal = bruteforce.s_sums, triangle._diagonal
+    s_sums = bruteforce.s_sums
 
     def interrupted_s_sums(*args):
         yield from islice(s_sums(*args), 3)
         raise KeyboardInterrupt
 
-    def interrupted_diagonal(m, n):
-        if n == 3:
+    def interrupted_step(m, r, *args):
+        if r == 3:
             raise KeyboardInterrupt
-        return diagonal(m, n)
+        return step(m, r, *args)
 
     monkeypatch.setattr(bruteforce, "s_sums", interrupted_s_sums)
-    monkeypatch.setattr(triangle, "_diagonal", interrupted_diagonal)
+    monkeypatch.setattr(triangle, "step", interrupted_step)
     store = TriangleStore()
     for view in views:
         with pytest.raises(KeyboardInterrupt):
@@ -282,12 +288,28 @@ def test_bruteforce_matches_passes_and_convolution(m, n, data):
         assert cell == _convolution(m, n, k)
 
 
+@settings(deadline=None)
+@given(st.integers(1, 1200), st.integers(0, 80), st.integers(0, 81))
+@example(1, 80, 40)
+@example(2, 9, 9)
+@example(1200, 80, 3)
+def test_built_row_and_the_next_stepped_row_match_bruteforce(m, n, k):
+    # The two series-recurrence routes at any order: a row built whole
+    # and the diagonal stepped from its last two entries.
+    built = triangle._built_row(m, n)
+    stepped = triangle.step(m, n + 1, built, 0, n + 1)
+    for r, row in ((n, built), (n + 1, stepped)):
+        assert len(row) == r + 1
+        for q in (min(k, r), r):
+            assert row[q] == cell_bruteforce(m, r, q), (m, r, q)
+
+
 def test_high_order_row_builds_no_lower_order():
     store = TriangleStore()
     assert store.row(1200, 3) == (1, 1202, 723000, 290161598)
     assert store.row(1200, 3) == tuple(_convolution(1200, 3, k) for k in range(4))
-    # A far row is built from binomials, again without a lower order.
-    assert store.row(1200, 1000)[-1] == triangle._diagonal(1200, 1000)
+    # A far row is built by the series recurrence, again without a lower order.
+    assert store.row(1200, 1000)[-1] == _convolution(1200, 1000, 1000)
     assert set(store._held) == {1200}
 
 
