@@ -34,13 +34,16 @@ _TRIANGLE_ROWS_MAX = 1000
 # whole at n = 4000, builds that row by one series recurrence and takes 0.05 s
 # and 0.19 s.
 _PATHSUM_N_MAX = 4000
-# Measured at n = 4000: order 200 takes 0.21 s for T(m, -1, -1) and 0.38 s for
-# S(m, 2, -1), order 1200 0.27 s and 0.50 s, order 4000 0.39 s and 0.75 s, and
-# S(m, 40, -1) 0.06 s, 0.07 s and 0.08 s: a row is built or stepped in O(n)
-# operations at any order. The largest sum printed at order 1200 has 2162
-# digits; cell(m, 4000, 4000) passes CPython's 4300-digit int-to-str limit near
-# order 12300.
-_PATHSUM_ORDER_MAX = 1200
+# Printing sets the order cap. For m >= 2 the largest sum at n = 4000 is
+# S(m, 1, -1), the sum of the diagonal: any other S or T path visits at most one
+# cell per row, none larger than that row's diagonal cell, and Sbar is at most
+# cell(m, n, n). At order 12308 that sum has 4300 digits, CPython's int-to-str
+# limit, and at 12309 4301 (found by bisection; the largest Sbar and T sums pass
+# the limit at orders 12310 and 12317). Measured in process at n = 4000 and
+# order 12308 (CPython 3.11, 2 vCPUs): T(m, -1, -1) 0.66 s, S(m, 2, -1) 1.35 s
+# and S(m, 40, -1) 0.19 s, as a row is built or stepped in O(n) operations at
+# any order; the slowest command, pathsum --trace along S(m, 2, -1), takes 1.9 s.
+_PATHSUM_ORDER_MAX = 12308
 # lambda grows fastest at c = 2: lambda_20579(2) is over CPython's int-to-str limit.
 _LAMBDA_TERMS_MAX = 20000
 # Measured (CPython 3.11, 2 vCPUs): derive-poly, derivation and printing, takes

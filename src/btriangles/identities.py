@@ -9,32 +9,32 @@ over the triangle on the other.  Every oracle is a forward stream of
 closed sides never call it, so agreement over a sweep is genuine
 evidence.
 
-Both sides are per-n.  The closed sides that stream (``corollary1``'s
-recurrence over n and ``relB2diff``'s Pascal-rule
-:func:`~btriangles.triangle.rows`) are each read through a
-:class:`~btriangles.triangle.Cursor`.  Oracles that read the same
-brute-force pass share one cursor, one per triangle family, order and
-index rate, and each reads its part through a
-:class:`~btriangles.triangle.View`: T_n of orders 1..10 (``theoremTm``,
-``resT2``, ``resT3``, ``T4closed``, ``T5closed``); T at (2p, 2p + 1) of
-orders 2..6 (``TmEven``, ``TmOdd``, ``T2even``, ``T2odd``); and the S
-passes, which yield S, S-bar and the row with their differences from
-twice the previous values: order 2 along (c, 1 - c), c = 2..8
-(``corollary1``, ``theorem1``, ``S2diff``, and ``relB2diff`` from the
-row differences), and order 3 along (2, -1) (``theoremS3``,
-``S3barClosed``, ``rel8``).  Nothing is cached: each cursor holds only
-its current value.
+Both sides are per-n.  A :class:`Cursor` gives per-n access to a forward
+stream.  The closed sides that stream (``corollary1``'s recurrence over n
+and ``relB2diff``'s Pascal-rule :func:`~btriangles.triangle.rows`) are
+each read through one.  Oracles that read the same brute-force pass
+share one cursor, one per triangle family, order and index rate, and
+each reads its part through a :class:`View`: T_n of orders 1..10
+(``theoremTm``, ``resT2``, ``resT3``, ``T4closed``, ``T5closed``); T at
+(2p, 2p + 1) of orders 2..6 (``TmEven``, ``TmOdd``, ``T2even``,
+``T2odd``); and the S passes, which yield S, S-bar and the row with
+their differences from twice the previous values: order 2 along
+(c, 1 - c), c = 2..8 (``corollary1``, ``theorem1``, ``S2diff``, and
+``relB2diff`` from the row differences), and order 3 along (2, -1)
+(``theoremS3``, ``S3barClosed``, ``rel8``).  Nothing is cached: each
+cursor holds only its current value, and a sweep closes the cursors it
+read as it returns.
 
 :func:`verify` sweeps one record over an index range and reports every
 mismatch.  :func:`verify_all` sweeps every shared pass whole in one
 process, in one pass over n with the pass's records in name order inside
 it, so they read it at the same n and it is built once; the four passes
-are spread over the usable CPUs by forked workers.  Each report's elapsed
-time is that record's own calls, except that at each n the advance of a
-shared pass is charged to the first record in name order that reads it
-(``S2diff`` for the order-2 S pass).  Multi-parameter families (a range of
-orders m or drops c) are single records whose sides return tuples,
-compared elementwise.
+are spread over the usable CPUs by forked workers, largest first.  Each
+report's elapsed time is that record's own calls, except that at each n
+the advance of a shared pass is charged to the first record in name
+order that reads it (``S2diff`` for the order-2 S pass).
+Multi-parameter families (a range of orders m or drops c) are single
+records whose sides return tuples, compared elementwise.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .fibonacci import fib
 from .gfib import _lambda_stream
 from .paths import path_sums, sum_Sbar
 from .polyderive import QRPair, RatPolynomial, qr_closed, tm_closed
-from .triangle import Cursor, View, rows
+from .triangle import rows
 
 __all__ = [
     "IdentityRecord",
@@ -140,6 +140,59 @@ def _even_odd(stream: Iterator) -> Iterator[tuple]:
     return zip(stream, stream)
 
 
+class Cursor:
+    """Per-n view of the forward stream ``start()``: ``cursor(n)`` is its value n.
+
+    A later n advances the stream, the same n returns the held value and
+    an earlier n restarts the stream from 0.  A stream whose advance
+    raised, even by an interrupt, is dropped and restarted by the next
+    call, as is a stream dropped by :meth:`close`.  Calls from several
+    threads take turns.
+    """
+
+    def __init__(self, start: Callable[[], Iterator]) -> None:
+        self.start = start
+        self._lock = threading.Lock()
+        self._stream, self._at, self._value = None, -1, None
+
+    def __call__(self, n: int):
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        with self._lock:
+            # Taken out while it advances, so a stream that raised is dropped.
+            stream, self._stream = self._stream, None
+            if stream is None or n < self._at:
+                stream, self._at = self.start(), -1
+            while self._at < n:
+                self._value = next(stream)
+                self._at += 1
+            self._stream = stream
+            return self._value
+
+    def close(self) -> None:
+        """Drop the stream and its held value; the next call starts afresh."""
+        with self._lock:
+            self._stream, self._at, self._value = None, -1, None
+
+
+class View:
+    """Per-n view of one part of a shared :class:`Cursor`: ``view(n)`` is
+    ``pick(cursor(n))``.
+
+    Views read at the same n share one advance of the cursor's stream.
+    ``start()`` is a fresh stream of the view's own values.
+    """
+
+    def __init__(self, cursor: Cursor, pick: Callable) -> None:
+        self.cursor, self.pick = cursor, pick
+
+    def __call__(self, n: int):
+        return self.pick(self.cursor(n))
+
+    def start(self) -> Iterator:
+        return map(self.pick, self.cursor.start())
+
+
 # The shared oracle passes.  Values: T_n of orders 1..10; the pair
 # (T_2p, T_2p+1) of orders 2..6; and (S, S-bar, the row reversed; their
 # differences from twice the previous ones) over the order-2 paths along
@@ -149,6 +202,12 @@ _T_PASS = Cursor(lambda: bruteforce.t_sums(_TM_ORDERS))
 _T_EVEN_ODD = Cursor(lambda: _even_odd(bruteforce.t_sums(_T_ORDERS)))
 _S2_PASS = Cursor(lambda: bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS]))
 _S3_PASS = Cursor(lambda: bruteforce.s_sums(3, [(2, -1)]))
+# verify_all queues the passes largest first, so no large pass is claimed
+# last and alone sets the wall time.  Serial times at n-max 1000 and 2000
+# (CPython 3.11, 2 vCPUs): T pairs 1.01 and 5.98 s, order-2 S 1.06 and
+# 6.37 s, T 0.35 and 1.47 s, order-3 S 0.25 and 1.27 s.  The two large
+# passes are close, and on 2 to 4 CPUs their order changes no split.
+_LARGEST_FIRST = (_T_EVEN_ODD, _S2_PASS, _T_PASS, _S3_PASS)
 
 
 REGISTRY: dict[str, IdentityRecord] = {
@@ -284,22 +343,37 @@ def _check_reach(records: list[IdentityRecord], n_max: int) -> None:
             )
 
 
+def _cursor(side: Side) -> Side:
+    # The cursor a side reads: a View's own, or else the side itself.  A side
+    # wrapped by functools.wraps, to time it say, reads what it wraps.
+    side = unwrap(side)
+    return getattr(side, "cursor", side)
+
+
 def _sweep(records: list[IdentityRecord], n_max: int) -> list[VerifyReport]:
     # One pass over n with the records inside it, so records whose oracles
-    # view one shared cursor read it at the same n and advance it once.
+    # view one shared cursor read it at the same n and advance it once.  Every
+    # cursor the records read is closed on the way out, so no idle stream
+    # outlives the sweep.
     _check_reach(records, n_max)
     failures: list[list[tuple[int, object, object]]] = [[] for _ in records]
     elapsed = [0.0] * len(records)
-    for n in range(min(rec.valid_from for rec in records), n_max + 1):
-        for i, rec in enumerate(records):
-            if n < rec.valid_from:
-                continue
-            started = time.perf_counter()
-            closed = rec.closed_form(n)
-            oracle = rec.oracle(n)
-            elapsed[i] += time.perf_counter() - started
-            if closed != oracle:
-                failures[i].append((n, closed, oracle))
+    try:
+        for n in range(min(rec.valid_from for rec in records), n_max + 1):
+            for i, rec in enumerate(records):
+                if n < rec.valid_from:
+                    continue
+                started = time.perf_counter()
+                closed = rec.closed_form(n)
+                oracle = rec.oracle(n)
+                elapsed[i] += time.perf_counter() - started
+                if closed != oracle:
+                    failures[i].append((n, closed, oracle))
+    finally:
+        for rec in records:
+            for side in (rec.closed_form, rec.oracle):
+                if isinstance(cursor := _cursor(side), Cursor):
+                    cursor.close()
     return [
         VerifyReport(rec.name, rec.valid_from, n_max, tuple(fails), secs)
         for rec, fails, secs in zip(records, failures, elapsed)
@@ -320,15 +394,14 @@ def verify(name: str, n_max: int) -> VerifyReport:
 def _shared_passes(records: list[IdentityRecord]) -> list[list[IdentityRecord]]:
     """The records grouped, in order, by the brute-force pass they read.
 
-    A record whose oracle is a :class:`~btriangles.triangle.View` reads
-    the view's cursor; any other record reads its own oracle.  An oracle
-    wrapped by :func:`functools.wraps`, to time it say, reads the pass of
-    the oracle it wraps.
+    A record whose oracle is a :class:`View` reads the view's cursor; any
+    other record reads its own oracle.  An oracle wrapped by
+    :func:`functools.wraps`, to time it say, reads the pass of the oracle
+    it wraps.
     """
     passes: dict[int, list[IdentityRecord]] = {}
     for rec in records:
-        oracle = unwrap(rec.oracle)
-        passes.setdefault(id(getattr(oracle, "cursor", oracle)), []).append(rec)
+        passes.setdefault(id(_cursor(rec.oracle)), []).append(rec)
     return list(passes.values())
 
 
@@ -403,15 +476,19 @@ def verify_all(n_max: int) -> list[VerifyReport]:
     and each pass is swept whole, in one pass over n with its records in
     name order, so it is built once.  On k = min(passes, usable CPUs)
     processes: the caller forks k - 1 workers, and each process claims
-    passes from one queue until it is empty.  The caller alone sweeps
-    everything when one CPU is usable, when another thread is alive
-    (forking would copy locks that thread may hold), or where
+    passes from one queue, largest first, until it is empty.  The caller
+    alone sweeps everything when one CPU is usable, when another thread
+    is alive (forking would copy locks that thread may hold), or where
     ``os.sched_getaffinity`` does not exist.  A worker's exception is
     raised again here, and no worker outlives the call.
     """
     records = [REGISTRY[name] for name in sorted(REGISTRY)]
     _check_reach(records, n_max)
-    passes = _shared_passes(records)
+    rank = {id(cursor): i for i, cursor in enumerate(_LARGEST_FIRST)}
+    passes = sorted(
+        _shared_passes(records),
+        key=lambda recs: rank.get(id(_cursor(recs[0].oracle)), len(rank)),
+    )
     queue, fill = os.pipe()
     os.write(
         fill, b"".join(i.to_bytes(_INDEX_BYTES, "big") for i in range(len(passes)))

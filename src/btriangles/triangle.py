@@ -1,4 +1,4 @@
-"""Iterated partial-sum triangles, read row by row, and the per-n cursor.
+"""Iterated partial-sum triangles, read row by row.
 
 Order 1 is Pascal's triangle.  Order m is the prefix sum of order m - 1:
 entry (n, k) of order m is the sum of entries (n, 0..k) of order m - 1,
@@ -14,66 +14,15 @@ by that recurrence from the last two entries of the row above, so no row
 reads a lower order.  It serves :func:`rows`, :class:`TriangleStore` and
 the path walks of :mod:`btriangles.paths`.  :class:`TriangleStore` also
 builds a far row by the recurrence, in O(n) operations at any order.
-:class:`Cursor`, the package's one per-n view of a forward stream,
-serves the identity registry, where a :class:`View` reads one part of a
-cursor that several records share.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import count
 from operator import add
 
-__all__ = ["Cursor", "View", "TriangleStore", "rows", "step"]
-
-
-class Cursor:
-    """Per-n view of the forward stream ``start()``: ``cursor(n)`` is its value n.
-
-    A later n advances the stream, the same n returns the held value and
-    an earlier n restarts the stream from 0.  A stream whose advance
-    raised, even by an interrupt, is dropped and restarted by the next
-    call.  Calls from several threads take turns.
-    """
-
-    def __init__(self, start: Callable[[], Iterator]) -> None:
-        self.start = start
-        self._lock = threading.Lock()
-        self._stream, self._at, self._value = None, -1, None
-
-    def __call__(self, n: int):
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        with self._lock:
-            # Taken out while it advances, so a stream that raised is dropped.
-            stream, self._stream = self._stream, None
-            if stream is None or n < self._at:
-                stream, self._at = self.start(), -1
-            while self._at < n:
-                self._value = next(stream)
-                self._at += 1
-            self._stream = stream
-            return self._value
-
-
-class View:
-    """Per-n view of one part of a shared :class:`Cursor`: ``view(n)`` is
-    ``pick(cursor(n))``.
-
-    Views read at the same n share one advance of the cursor's stream.
-    ``start()`` is a fresh stream of the view's own values.
-    """
-
-    def __init__(self, cursor: Cursor, pick: Callable) -> None:
-        self.cursor, self.pick = cursor, pick
-
-    def __call__(self, n: int):
-        return self.pick(self.cursor(n))
-
-    def start(self) -> Iterator:
-        return map(self.pick, self.cursor.start())
+__all__ = ["TriangleStore", "rows", "step"]
 
 
 def step(m: int, r: int, prev: Sequence[int], lo: int, hi: int) -> tuple[int, ...]:
@@ -109,24 +58,23 @@ class TriangleStore:
     most 8 rows past it, and otherwise builds row n by the series
     recurrence, in O(n) operations at any order, about the cost of
     stepping 8 rows.  It then holds row n.  A read that raised, even by
-    an interrupt, leaves the held row as it was.  Calls from several
-    threads take turns.
+    an interrupt, leaves the held row as it was.  A read takes the held
+    row and holds the new one in one dict operation each, so reads from
+    several threads each get the row they asked for.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._held: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def row(self, m: int, n: int) -> tuple[int, ...]:
         """Row n of the order-m triangle: entries for columns 0..n."""
         _check_row(m, n)
-        with self._lock:
-            at, row = self._held.get(m, (0, (1,)))
-            if not at <= n <= at + 8:
-                at, row = n, _built_row(m, n)
-            for r in range(at + 1, n + 1):
-                row = step(m, r, row, 0, r)
-            self._held[m] = n, row
+        at, row = self._held.get(m, (0, (1,)))
+        if not at <= n <= at + 8:
+            at, row = n, _built_row(m, n)
+        for r in range(at + 1, n + 1):
+            row = step(m, r, row, 0, r)
+        self._held[m] = n, row
         return row
 
     def cell(self, m: int, n: int, k: int) -> int:

@@ -21,6 +21,7 @@ from btriangles.cli import (
 from btriangles.fibonacci import fib
 from btriangles.identities import REGISTRY, IdentityRecord
 from btriangles.oeis import BINDINGS
+from btriangles.paths import sum_S
 from btriangles.triangle import TriangleStore
 
 
@@ -162,6 +163,19 @@ def test_pathsum_help_states_order_limit():
     result = invoke("pathsum", "--help")
     assert result.exit_code == 0
     assert f"x<={_PATHSUM_ORDER_MAX}" in result.output
+
+
+def test_pathsum_order_cap_is_the_printing_limit():
+    # The largest sum at the n cap is the diagonal's, S(m, 1, -1).  At the order
+    # cap it prints under CPython's default 4300-digit int-to-str limit; one
+    # order more it would not.
+    result = invoke(
+        "pathsum", "--order", str(_PATHSUM_ORDER_MAX), "--family", "S", "--c", "1",
+        "--l", "-1", "--n", str(_PATHSUM_N_MAX),
+    )
+    assert result.exit_code == 0, result.output
+    assert len(result.output.strip()) <= 4300
+    assert sum_S(_PATHSUM_ORDER_MAX + 1, 1, -1, _PATHSUM_N_MAX) >= 10**4300
 
 
 def test_pathsum_rejects_inadmissible_step():

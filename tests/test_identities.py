@@ -23,6 +23,7 @@ from btriangles.fibonacci import telescope
 from btriangles.gfib import lambda_explicit
 from btriangles.identities import (
     REGISTRY,
+    Cursor,
     IdentityRecord,
     VerifyReport,
     sbar31,
@@ -33,7 +34,7 @@ from btriangles.identities import (
 )
 from btriangles.oeis import BINDINGS, load_snapshot
 from btriangles.paths import path_sums
-from btriangles.triangle import Cursor, rows
+from btriangles.triangle import rows
 
 EXPECTED_NAMES = {
     "theorem1",
@@ -319,6 +320,48 @@ def test_verify_all_starts_each_shared_pass_once(monkeypatch, tmp_path):
     # Every pass restarts once, at its first n, however many records view it.
     assert all(report.ok for report in verify_all(30))
     assert sorted(starts.read_text().split()) == ["s_sums"] * 2 + ["t_sums"] * 2
+
+
+def test_a_one_cpu_sweep_starts_the_largest_pass_first(monkeypatch):
+    # The T pairs read to index 2 n_max + 1 and take longest; the order-3 S
+    # pass takes least.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    starts = []
+    for name in bruteforce.__all__:
+        route = getattr(bruteforce, name)
+
+        def logged(first, *args, name=name, route=route):
+            starts.append((name, first))
+            return route(first, *args)
+
+        monkeypatch.setattr(bruteforce, name, logged)
+    assert all(report.ok for report in verify_all(10))
+    assert starts == [
+        ("t_sums", range(2, 7)),
+        ("s_sums", 2),
+        ("t_sums", range(1, 11)),
+        ("s_sums", 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [lambda: verify_all(300), lambda: [verify("corollary1", 300)]],
+    ids=["verify_all", "corollary1"],
+)
+def test_a_sweep_leaves_no_stream_behind(sweep, monkeypatch):
+    # The cursors that a sweep's records read, shared oracle passes and
+    # streamed closed sides alike, drop their streams when it returns.  One
+    # CPU, so every pass is swept in this process.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    tracemalloc.start()
+    try:
+        reports = sweep()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(report.ok for report in reports)
+    assert held < 2**19
 
 
 def _fields(reports):

@@ -9,8 +9,8 @@ import pytest
 
 from btriangles import bruteforce, triangle
 from btriangles.bruteforce import cell_bruteforce
-from btriangles.identities import REGISTRY
-from btriangles.triangle import Cursor, TriangleStore, rows, step
+from btriangles.identities import REGISTRY, Cursor
+from btriangles.triangle import TriangleStore, rows, step
 
 
 @pytest.fixture(scope="module")
