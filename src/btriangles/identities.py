@@ -350,6 +350,13 @@ def _cursor(side: Side) -> Side:
     return getattr(side, "cursor", side)
 
 
+def _close_cursors(records: list[IdentityRecord]) -> None:
+    for rec in records:
+        for side in (rec.closed_form, rec.oracle):
+            if isinstance(cursor := _cursor(side), Cursor):
+                cursor.close()
+
+
 def _sweep(records: list[IdentityRecord], n_max: int) -> list[VerifyReport]:
     # One pass over n with the records inside it, so records whose oracles
     # view one shared cursor read it at the same n and advance it once.  Every
@@ -370,10 +377,7 @@ def _sweep(records: list[IdentityRecord], n_max: int) -> list[VerifyReport]:
                 if closed != oracle:
                     failures[i].append((n, closed, oracle))
     finally:
-        for rec in records:
-            for side in (rec.closed_form, rec.oracle):
-                if isinstance(cursor := _cursor(side), Cursor):
-                    cursor.close()
+        _close_cursors(records)
     return [
         VerifyReport(rec.name, rec.valid_from, n_max, tuple(fails), secs)
         for rec, fails, secs in zip(records, failures, elapsed)
@@ -480,7 +484,8 @@ def verify_all(n_max: int) -> list[VerifyReport]:
     alone sweeps everything when one CPU is usable, when another thread
     is alive (forking would copy locks that thread may hold), or where
     ``os.sched_getaffinity`` does not exist.  A worker's exception is
-    raised again here, and no worker outlives the call.
+    raised again here, no worker outlives the call, and no cursor of any
+    record holds a stream after it.
     """
     records = [REGISTRY[name] for name in sorted(REGISTRY)]
     _check_reach(records, n_max)
@@ -519,6 +524,9 @@ def verify_all(n_max: int) -> list[VerifyReport]:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        # A pass that a worker swept leaves the caller's copy of its cursors
+        # as the caller last read them.
+        _close_cursors(records)
     return [reports[rec.name] for rec in records]
 
 

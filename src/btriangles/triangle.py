@@ -11,9 +11,9 @@ Its coefficients a(k) obey one first-order recurrence, read off
 every division exact.  :func:`step` steps a window of columns by the
 Pascal rule cell(n, k) = cell(n-1, k) + cell(n-1, k-1), and the diagonal
 by that recurrence from the last two entries of the row above, so no row
-reads a lower order.  It serves :func:`rows`, :class:`TriangleStore` and
-the path walks of :mod:`btriangles.paths`.  :class:`TriangleStore` also
-builds a far row by the recurrence, in O(n) operations at any order.
+reads a lower order.  It serves :func:`rows`, the sequential route, and
+the path walks of :mod:`btriangles.paths`.  :class:`TriangleStore` builds
+any row by the recurrence, in O(n) operations at any order.
 """
 
 from __future__ import annotations
@@ -54,13 +54,12 @@ def rows(m: int) -> Iterator[tuple[int, ...]]:
 class TriangleStore:
     """Triangle rows of any order, each order holding the last row read.
 
-    ``row(m, n)`` steps by :func:`step` from the held row when n is at
-    most 8 rows past it, and otherwise builds row n by the series
-    recurrence, in O(n) operations at any order, about the cost of
-    stepping 8 rows.  It then holds row n.  A read that raised, even by
-    an interrupt, leaves the held row as it was.  A read takes the held
-    row and holds the new one in one dict operation each, so reads from
-    several threads each get the row they asked for.
+    ``row(m, n)`` returns the held row if it is row n, and otherwise
+    builds row n by the series recurrence, in O(n) operations at any
+    order, and holds it.  Read rows in sequence from :func:`rows`.  A read
+    that raised, even by an interrupt, leaves the held row as it was.  A
+    read takes the held row and holds the new one in one dict operation
+    each, so reads from several threads each get the row they asked for.
     """
 
     def __init__(self) -> None:
@@ -69,12 +68,10 @@ class TriangleStore:
     def row(self, m: int, n: int) -> tuple[int, ...]:
         """Row n of the order-m triangle: entries for columns 0..n."""
         _check_row(m, n)
-        at, row = self._held.get(m, (0, (1,)))
-        if not at <= n <= at + 8:
-            at, row = n, _built_row(m, n)
-        for r in range(at + 1, n + 1):
-            row = step(m, r, row, 0, r)
-        self._held[m] = n, row
+        at, row = self._held.get(m, (-1, ()))
+        if at != n:
+            row = _built_row(m, n)
+            self._held[m] = n, row
         return row
 
     def cell(self, m: int, n: int, k: int) -> int:

@@ -345,15 +345,22 @@ def test_a_one_cpu_sweep_starts_the_largest_pass_first(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sweep",
-    [lambda: verify_all(300), lambda: [verify("corollary1", 300)]],
-    ids=["verify_all", "corollary1"],
+    "sweep, cpus",
+    [
+        (lambda: verify_all(300), {0}),
+        (lambda: verify_all(300), {0, 1}),
+        (lambda: [verify("corollary1", 300)], {0}),
+    ],
+    ids=["verify_all", "verify_all_on_two_cpus", "corollary1"],
 )
-def test_a_sweep_leaves_no_stream_behind(sweep, monkeypatch):
+def test_a_sweep_leaves_no_stream_behind(sweep, cpus, monkeypatch):
     # The cursors that a sweep's records read, shared oracle passes and
-    # streamed closed sides alike, drop their streams when it returns.  One
-    # CPU, so every pass is swept in this process.
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    # streamed closed sides alike, drop their streams when it returns: also
+    # those the caller read before the call, whose pass a forked worker swept.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
+    for rec in REGISTRY.values():
+        rec.closed_form(300)
+        rec.oracle(300)
     tracemalloc.start()
     try:
         reports = sweep()
@@ -362,6 +369,13 @@ def test_a_sweep_leaves_no_stream_behind(sweep, monkeypatch):
         tracemalloc.stop()
     assert all(report.ok for report in reports)
     assert held < 2**19
+    cursors = {
+        identities._cursor(side)
+        for rec in (REGISTRY[report.name] for report in reports)
+        for side in (rec.closed_form, rec.oracle)
+    }
+    streams = [c for c in cursors if isinstance(c, Cursor) and c._stream is not None]
+    assert streams == []
 
 
 def _fields(reports):

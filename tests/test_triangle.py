@@ -122,25 +122,20 @@ def test_store_holds_one_row_per_order(monkeypatch):
     for n in range(40):
         store.row(2, n)
         store.row(3, n)
-    # The next row on from the held one is stepped.
-    assert stepped == [(m, r) for r in range(1, 40) for m in (2, 3)]
     assert store._held == {2: (39, store.row(2, 39)), 3: (39, store.row(3, 39))}
-    # An earlier row is built, with no step, and held; the row after it is
-    # stepped from there.
-    stepped.clear()
+    # An earlier row is built and held, as is the row after it.
     assert store.row(2, 30) == tuple(_passes_row(2, 30))
-    assert stepped == [] and store._held[2] == (30, store.row(2, 30))
+    assert store._held[2] == (30, store.row(2, 30))
     assert store.row(2, 31) == tuple(_passes_row(2, 31))
-    assert stepped == [(2, 31)]
-    # A near earlier row is built too, with no step from row 0.
-    assert store.row(2, 3) == (1, 4, 7, 8)
-    assert stepped == [(2, 31)] and store._held[2] == (3, (1, 4, 7, 8))
-    # Rows up to 8 past the held one are stepped; one further is built.
+    held = store.row(2, 3)
+    assert held == (1, 4, 7, 8) and store._held[2] == (3, held)
+    # A repeated read returns the held row itself.
+    assert store.row(2, 3) is held
     store.row(2, 11)
-    assert stepped == [(2, 31), *((2, r) for r in range(4, 12))]
-    store.row(2, 20)
-    assert stepped[-1] == (2, 11) and store._held[2][0] == 20
+    assert store._held[2][0] == 11
     assert store._held[3] == (39, store.row(3, 39))
+    # Every row was built: no store read steps one.
+    assert stepped == []
 
 
 def test_a_far_read_from_a_cold_store_steps_no_row(monkeypatch):
@@ -160,7 +155,7 @@ def test_a_far_read_from_a_cold_store_steps_no_row(monkeypatch):
 @st.composite
 def _store_reads(draw):
     # Reads of up to three interleaved orders: forward and backward jumps,
-    # repeats and, where n lands next to the held row, single-row steps.
+    # repeats and reads next to the held row.
     orders = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
     return draw(st.lists(st.tuples(st.sampled_from(orders), st.integers(0, 400)), max_size=10))
 
@@ -226,19 +221,19 @@ def test_a_stream_that_raised_restarts_on_the_next_call(monkeypatch):
         yield from islice(s_sums(*args), 3)
         raise KeyboardInterrupt
 
-    def interrupted_step(m, r, *args):
-        if r == 3:
-            raise KeyboardInterrupt
-        return step(m, r, *args)
+    def interrupted_build(m, n):
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(bruteforce, "s_sums", interrupted_s_sums)
-    monkeypatch.setattr(triangle, "step", interrupted_step)
     store = TriangleStore()
+    held = store.row(2, 4)
+    monkeypatch.setattr(bruteforce, "s_sums", interrupted_s_sums)
+    monkeypatch.setattr(triangle, "_built_row", interrupted_build)
     for view in views:
         with pytest.raises(KeyboardInterrupt):
             view(5)
     with pytest.raises(KeyboardInterrupt):
         store.row(2, 5)
+    assert store._held[2] == (4, held)
     monkeypatch.undo()
     assert views[1](6) == expected[1][6]
     assert views[0](7) == expected[0][7]
