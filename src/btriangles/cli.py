@@ -51,10 +51,13 @@ _LAMBDA_TERMS_MAX = 20000
 # largest numerator or denominator printed at order 1000 has 2863 digits, under
 # CPython's 4300-digit int-to-str limit.
 _DERIVE_ORDER_MAX = 1000
-# Measured (CPython 3.11, 2 vCPUs, the four oracle passes split over both):
-# verify --all takes 1.6-2.4 s at n-max 1000 (24 MB peak RSS per process) and
-# 14 s at 2000 (37 MB), where the T-pair pass alone sets the time. On one CPU
-# (taskset -c 0) n-max 1000 takes 4.0-4.1 s. The cost grows 5-7x per doubling.
+# Measured (CPython 3.11.7, 2 vCPUs of an Intel Xeon, the four oracle passes
+# split over both): verify --all takes 1.3-2.0 s at n-max 1000 (20 MB peak RSS
+# per process); on one CPU (taskset -c 0) it takes 2.3-2.5 s (24 MB). In
+# process, verify_all(2000) takes 7.4-9.0 s (21 MB in the caller, 33 MB in the
+# worker). No pass sets that time alone: serially the T pairs take 5.9-6.2 s,
+# the order-2 S pass 4.0-5.2 s, T 1.8 s and the order-3 S pass 1.2-1.5 s, so
+# each process sweeps two. The cost grows 5-6x per doubling.
 _VERIFY_N_MAX = 1000
 # Measured: the path-sum bindings take 1.8-2.3 s for 4000 terms, one pass over
 # full rows 0..4000; every such term prints under CPython's 4300-digit

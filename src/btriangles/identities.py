@@ -180,7 +180,6 @@ class View:
     ``pick(cursor(n))``.
 
     Views read at the same n share one advance of the cursor's stream.
-    ``start()`` is a fresh stream of the view's own values.
     """
 
     def __init__(self, cursor: Cursor, pick: Callable) -> None:
@@ -188,9 +187,6 @@ class View:
 
     def __call__(self, n: int):
         return self.pick(self.cursor(n))
-
-    def start(self) -> Iterator:
-        return map(self.pick, self.cursor.start())
 
 
 # The shared oracle passes.  Values: T_n of orders 1..10; the pair
@@ -202,11 +198,14 @@ _T_PASS = Cursor(lambda: bruteforce.t_sums(_TM_ORDERS))
 _T_EVEN_ODD = Cursor(lambda: _even_odd(bruteforce.t_sums(_T_ORDERS)))
 _S2_PASS = Cursor(lambda: bruteforce.s_sums(2, [(c, 1 - c) for c in _DROPS]))
 _S3_PASS = Cursor(lambda: bruteforce.s_sums(3, [(2, -1)]))
-# verify_all queues the passes largest first, so no large pass is claimed
-# last and alone sets the wall time.  Serial times at n-max 1000 and 2000
-# (CPython 3.11, 2 vCPUs): T pairs 1.01 and 5.98 s, order-2 S 1.06 and
-# 6.37 s, T 0.35 and 1.47 s, order-3 S 0.25 and 1.27 s.  The two large
-# passes are close, and on 2 to 4 CPUs their order changes no split.
+# The pass order, largest first.  _shared_passes groups the records in it
+# and verify_all queues the passes in it, so no large pass is claimed last
+# and alone sets the wall time.  Serial times at n-max 300, 1000 and 2000
+# (CPython 3.11.7, 2 vCPUs of an Intel Xeon): T pairs 0.10, 1.09 and
+# 5.9-6.2 s, order-2 S 0.07, 0.82 and 4.0-5.2 s, T 0.04, 0.37 and 1.8 s,
+# order-3 S 0.02, 0.25 and 1.2-1.5 s.  At n-max 300 the T pairs are the
+# largest pass, 0.10 s of 0.23 s.  The two large passes are close, and on 2
+# to 4 CPUs their order changes no split.
 _LARGEST_FIRST = (_T_EVEN_ODD, _S2_PASS, _T_PASS, _S3_PASS)
 
 
@@ -396,17 +395,18 @@ def verify(name: str, n_max: int) -> VerifyReport:
 
 
 def _shared_passes(records: list[IdentityRecord]) -> list[list[IdentityRecord]]:
-    """The records grouped, in order, by the brute-force pass they read.
+    """The records grouped by the brute-force pass they read, largest first.
 
-    A record whose oracle is a :class:`View` reads the view's cursor; any
-    other record reads its own oracle.  An oracle wrapped by
-    :func:`functools.wraps`, to time it say, reads the pass of the oracle
-    it wraps.
+    The passes of ``_LARGEST_FIRST`` come in its order, and any other pass
+    after them, in the order of its first record.  A record whose oracle
+    is a :class:`View` reads the view's cursor; any other record reads its
+    own oracle.  An oracle wrapped by :func:`functools.wraps`, to time it
+    say, reads the pass of the oracle it wraps.
     """
-    passes: dict[int, list[IdentityRecord]] = {}
+    passes: dict[int, list[IdentityRecord]] = {id(c): [] for c in _LARGEST_FIRST}
     for rec in records:
         passes.setdefault(id(_cursor(rec.oracle)), []).append(rec)
-    return list(passes.values())
+    return [recs for recs in passes.values() if recs]
 
 
 def _usable_cpus() -> int:
@@ -450,8 +450,16 @@ def _work(
             outcome = exc
         import pickle
 
+        try:
+            data = pickle.dumps(outcome)
+            if isinstance(outcome, BaseException):
+                pickle.loads(data)  # some exceptions pickle but do not load
+        except Exception:
+            # An exception that holds a lambda, say: send its type and message.
+            name = type(outcome).__name__
+            data = pickle.dumps(RuntimeError(f"verify worker raised {name}: {outcome}"))
         with open(sink, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
+            pipe.write(data)
         status = 0
     finally:
         os._exit(status)
@@ -484,16 +492,13 @@ def verify_all(n_max: int) -> list[VerifyReport]:
     alone sweeps everything when one CPU is usable, when another thread
     is alive (forking would copy locks that thread may hold), or where
     ``os.sched_getaffinity`` does not exist.  A worker's exception is
-    raised again here, no worker outlives the call, and no cursor of any
-    record holds a stream after it.
+    raised again here, or a RuntimeError naming its type and message if
+    it cannot be pickled; no worker outlives the call, and no cursor of
+    any record holds a stream after it.
     """
     records = [REGISTRY[name] for name in sorted(REGISTRY)]
     _check_reach(records, n_max)
-    rank = {id(cursor): i for i, cursor in enumerate(_LARGEST_FIRST)}
-    passes = sorted(
-        _shared_passes(records),
-        key=lambda recs: rank.get(id(_cursor(recs[0].oracle)), len(rank)),
-    )
+    passes = _shared_passes(records)
     queue, fill = os.pipe()
     os.write(
         fill, b"".join(i.to_bytes(_INDEX_BYTES, "big") for i in range(len(passes)))
@@ -503,7 +508,12 @@ def verify_all(n_max: int) -> list[VerifyReport]:
     try:
         for _ in range(min(len(passes), _usable_cpus()) - 1):
             result, sink = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(result)
+                os.close(sink)
+                raise
             if pid == 0:
                 _work(queue, passes, n_max, sink)
             os.close(sink)

@@ -52,27 +52,23 @@ def rows(m: int) -> Iterator[tuple[int, ...]]:
 
 
 class TriangleStore:
-    """Triangle rows of any order, each order holding the last row read.
+    """Triangle rows of any order, each built when read.
 
-    ``row(m, n)`` returns the held row if it is row n, and otherwise
-    builds row n by the series recurrence, in O(n) operations at any
-    order, and holds it.  Read rows in sequence from :func:`rows`.  A read
-    that raised, even by an interrupt, leaves the held row as it was.  A
-    read takes the held row and holds the new one in one dict operation
-    each, so reads from several threads each get the row they asked for.
+    ``row(m, n)`` builds row n by the series recurrence, in O(n)
+    operations at any order, and so does ``cell(m, n, k)``: read many
+    entries of one row from one ``row`` call.  Read rows in sequence
+    from :func:`rows`.
     """
-
-    def __init__(self) -> None:
-        self._held: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def row(self, m: int, n: int) -> tuple[int, ...]:
         """Row n of the order-m triangle: entries for columns 0..n."""
         _check_row(m, n)
-        at, row = self._held.get(m, (-1, ()))
-        if at != n:
-            row = _built_row(m, n)
-            self._held[m] = n, row
-        return row
+        # Coefficients 0..n of (1 + z)^n (1 - z)^(1 - m) by the series recurrence.
+        row, a, b = [1], 1, 0
+        for k in range(n):
+            a, b = ((n + m - 1) * a + (k + m - 2 - n) * b) // (k + 1), a
+            row.append(a)
+        return tuple(row)
 
     def cell(self, m: int, n: int, k: int) -> int:
         """Entry (n, k) of the order-m triangle.
@@ -93,11 +89,3 @@ def _check_row(m: int, n: int) -> None:
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
 
-
-def _built_row(m: int, n: int) -> tuple[int, ...]:
-    # Coefficients 0..n of (1 + z)^n (1 - z)^(1 - m) by the series recurrence.
-    row, a, b = [1], 1, 0
-    for k in range(n):
-        a, b = ((n + m - 1) * a + (k + m - 2 - n) * b) // (k + 1), a
-        row.append(a)
-    return tuple(row)

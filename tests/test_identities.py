@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import errno
 import functools
 import inspect
 import os
@@ -92,7 +93,7 @@ def test_closed_sides_never_reach_the_oracle(monkeypatch):
     # The patched names are the oracle route: a fresh oracle stream hits them.
     for rec in REGISTRY.values():
         with pytest.raises(AssertionError):
-            next(rec.oracle.start())
+            next(identities._cursor(rec.oracle).start())
 
 
 _CACHES = {"cache", "lru_cache", "cached_property"}
@@ -270,11 +271,22 @@ def test_records_group_into_the_four_shared_passes():
     assert identities._shared_passes(wrapped) == [
         [rec for rec in wrapped if rec.name in names] for names in _shared_passes()
     ]
+    # Largest first: the T pairs, the order-2 S pass, T, the order-3 S pass.
     assert _shared_passes() == [
-        ["S2diff", "corollary1", "relB2diff", "theorem1"],
-        ["S3barClosed", "rel8", "theoremS3"],
         ["T2even", "T2odd", "TmEven", "TmOdd"],
+        ["S2diff", "corollary1", "relB2diff", "theorem1"],
         ["T4closed", "T5closed", "resT2", "resT3", "theoremTm"],
+        ["S3barClosed", "rel8", "theoremS3"],
+    ]
+    # Any other pass follows them, in the order of its first record, and a
+    # pass that no record reads is left out.
+    first, last = (
+        IdentityRecord(name, abs, lambda n: n, 0, "") for name in ("A", "z")
+    )
+    assert identities._shared_passes([first, REGISTRY["rel8"], last]) == [
+        [REGISTRY["rel8"]],
+        [first],
+        [last],
     ]
 
 
@@ -284,8 +296,9 @@ def test_oracle_calls_in_any_order_match_a_fresh_sweep(names, data):
     expected = {}
     for name in names:
         rec = REGISTRY[name]
-        fresh = Cursor(rec.oracle.start)
-        expected[name] = {n: fresh(n) for n in range(rec.valid_from, 41)}
+        fresh = Cursor(identities._cursor(rec.oracle).start)
+        pick = getattr(rec.oracle, "pick", lambda value: value)
+        expected[name] = {n: pick(fresh(n)) for n in range(rec.valid_from, 41)}
     calls = data.draw(
         st.lists(
             st.sampled_from(names).flatmap(
@@ -477,6 +490,63 @@ def test_a_caller_exception_stops_the_running_workers(two_cpus, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         verify_all(30)
     assert time.monotonic() - started < 10
+    assert len(two_cpus) == 1
+    _assert_no_child_left()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("cpus, failing", [({0, 1}, 1), ({0, 1, 2}, 2)])
+def test_a_fork_that_raised_leaks_no_pipe(cpus, failing, monkeypatch):
+    # The ``failing``-th fork raises; a worker forked before it is stopped.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == failing:
+            raise OSError(errno.EAGAIN, "no process to spare")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    before = _open_fds()
+    with pytest.raises(OSError, match="no process to spare"):
+        verify_all(30)
+    assert len(forks) == failing
+    assert _open_fds() == before
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None
+
+
+class _Unloadable(Exception):
+    # Pickles, but loading calls __init__ with the message alone.
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@pytest.mark.parametrize(
+    "exc", [_Unpicklable("lost in the pipe"), _Unloadable("lost in the pipe", 7)]
+)
+def test_a_worker_exception_that_does_not_pickle_keeps_its_message(
+    exc, two_cpus, monkeypatch
+):
+    def raising(claim, *args):
+        raise exc
+
+    _claim_by_process(monkeypatch, raising, lambda claim, *args: claim(*args))
+    with pytest.raises(RuntimeError) as raised:
+        verify_all(30)
+    name = type(exc).__name__
+    assert str(raised.value) == f"verify worker raised {name}: lost in the pipe"
     assert len(two_cpus) == 1
     _assert_no_child_left()
 

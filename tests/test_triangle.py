@@ -1,5 +1,6 @@
 import sys
 import threading
+from collections import Counter
 from itertools import count, islice
 from math import comb
 
@@ -106,11 +107,8 @@ def test_rejects_bad_indices(store):
             store.cell(m, n, k)
 
 
-def test_rows_are_memoized(store):
-    assert store.row(2, 12) is store.row(2, 12)
-
-
-def test_store_holds_one_row_per_order(monkeypatch):
+def test_store_reads_in_any_order_step_no_row(monkeypatch):
+    expected = {m: list(islice(rows(m), 40)) for m in (2, 3)}
     stepped = []
 
     def counted_step(m, r, prev, lo, hi):
@@ -119,21 +117,11 @@ def test_store_holds_one_row_per_order(monkeypatch):
 
     monkeypatch.setattr(triangle, "step", counted_step)
     store = TriangleStore()
-    for n in range(40):
-        store.row(2, n)
-        store.row(3, n)
-    assert store._held == {2: (39, store.row(2, 39)), 3: (39, store.row(3, 39))}
-    # An earlier row is built and held, as is the row after it.
-    assert store.row(2, 30) == tuple(_passes_row(2, 30))
-    assert store._held[2] == (30, store.row(2, 30))
-    assert store.row(2, 31) == tuple(_passes_row(2, 31))
-    held = store.row(2, 3)
-    assert held == (1, 4, 7, 8) and store._held[2] == (3, held)
-    # A repeated read returns the held row itself.
-    assert store.row(2, 3) is held
-    store.row(2, 11)
-    assert store._held[2][0] == 11
-    assert store._held[3] == (39, store.row(3, 39))
+    # Interleaved orders in sequence, then backward and forward jumps and repeats.
+    reads = [(m, n) for n in range(40) for m in (2, 3)]
+    reads += [(2, 30), (2, 31), (2, 3), (2, 3), (3, 39), (2, 11), (3, 0), (3, 0)]
+    for m, n in reads:
+        assert store.row(m, n) == expected[m][n], (m, n)
     # Every row was built: no store read steps one.
     assert stepped == []
 
@@ -155,7 +143,7 @@ def test_a_far_read_from_a_cold_store_steps_no_row(monkeypatch):
 @st.composite
 def _store_reads(draw):
     # Reads of up to three interleaved orders: forward and backward jumps,
-    # repeats and reads next to the held row.
+    # repeats and reads of neighbouring rows.
     orders = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
     return draw(st.lists(st.tuples(st.sampled_from(orders), st.integers(0, 400)), max_size=10))
 
@@ -221,23 +209,22 @@ def test_a_stream_that_raised_restarts_on_the_next_call(monkeypatch):
         yield from islice(s_sums(*args), 3)
         raise KeyboardInterrupt
 
-    def interrupted_build(m, n):
+    def interrupted_check(m, n):
         raise KeyboardInterrupt
 
     store = TriangleStore()
-    held = store.row(2, 4)
     monkeypatch.setattr(bruteforce, "s_sums", interrupted_s_sums)
-    monkeypatch.setattr(triangle, "_built_row", interrupted_build)
+    monkeypatch.setattr(triangle, "_check_row", interrupted_check)
     for view in views:
         with pytest.raises(KeyboardInterrupt):
             view(5)
     with pytest.raises(KeyboardInterrupt):
         store.row(2, 5)
-    assert store._held[2] == (4, held)
     monkeypatch.undo()
     assert views[1](6) == expected[1][6]
     assert views[0](7) == expected[0][7]
-    assert store.row(2, 6) == (1, 7, 22, 42, 57, 63, 64)
+    # A store read that raised leaves the next read correct.
+    assert store.row(2, 5) == (1, 6, 16, 26, 31, 32)
 
 
 def test_bruteforce_values():
@@ -291,7 +278,7 @@ def test_bruteforce_matches_passes_and_convolution(m, n, data):
 def test_built_row_and_the_next_stepped_row_match_bruteforce(m, n, k):
     # The two series-recurrence routes at any order: a row built whole
     # and the diagonal stepped from its last two entries.
-    built = triangle._built_row(m, n)
+    built = TriangleStore().row(m, n)
     stepped = triangle.step(m, n + 1, built, 0, n + 1)
     for r, row in ((n, built), (n + 1, stepped)):
         assert len(row) == r + 1
@@ -299,13 +286,21 @@ def test_built_row_and_the_next_stepped_row_match_bruteforce(m, n, k):
             assert row[q] == cell_bruteforce(m, r, q), (m, r, q)
 
 
-def test_high_order_row_builds_no_lower_order():
+def test_high_order_row_builds_no_lower_order(monkeypatch):
+    built = Counter()
+    row = TriangleStore.row
+
+    def counted_row(self, m, n):
+        built[m] += 1
+        return row(self, m, n)
+
+    monkeypatch.setattr(TriangleStore, "row", counted_row)
     store = TriangleStore()
     assert store.row(1200, 3) == (1, 1202, 723000, 290161598)
     assert store.row(1200, 3) == tuple(_convolution(1200, 3, k) for k in range(4))
     # A far row is built by the series recurrence, again without a lower order.
     assert store.row(1200, 1000)[-1] == _convolution(1200, 1000, 1000)
-    assert set(store._held) == {1200}
+    assert built == {1200: 3}
 
 
 class _CrossOrderStore:
